@@ -200,7 +200,7 @@ impl Env {
         // binding entry, so caller-side pvars bin to the call's virtual
         // moment under both binding flavors.
         obs::telemetry_tick(self.mpi.now());
-        obs::count("bind.calls", 1);
+        obs::count(obs::pvar::BIND_CALLS, 1);
         let garbage = self.flavor.garbage_per_call;
         let overhead = self.flavor.call_overhead_ns;
         let t0 = self.mpi.now();

@@ -52,16 +52,16 @@ pub fn bcast(
     let begin = mpi.now();
     let algo = if tuning.hierarchical && spans_nodes(mpi, &c) {
         two_level(mpi, &c, &mut payload, root, tuning.bcast_binomial_max)?;
-        obs::count("coll.bcast.algo.two_level", 1);
+        obs::count(obs::pvar::COLL_BCAST_ALGO_TWO_LEVEL, 1);
         "two_level"
     } else if nbytes <= tuning.bcast_binomial_max {
         binomial(mpi, &c, &mut payload, root, tags::BCAST)?;
-        obs::count("coll.bcast.algo.binomial", 1);
+        obs::count(obs::pvar::COLL_BCAST_ALGO_BINOMIAL, 1);
         "binomial"
     } else if tuning.hierarchical {
         // MVAPICH2 on a single node: bandwidth-optimal scatter+allgather.
         scatter_allgather(mpi, &c, &mut payload, root, tags::BCAST)?;
-        obs::count("coll.bcast.algo.scatter_allgather", 1);
+        obs::count(obs::pvar::COLL_BCAST_ALGO_SCATTER_ALLGATHER, 1);
         "scatter_allgather"
     } else {
         // Open MPI's tuned module: segmented (pipelined) binomial tree.
@@ -73,7 +73,7 @@ pub fn bcast(
             tuning.bcast_segment,
             tags::BCAST,
         )?;
-        obs::count("coll.bcast.algo.binomial_segmented", 1);
+        obs::count(obs::pvar::COLL_BCAST_ALGO_BINOMIAL_SEGMENTED, 1);
         "binomial_segmented"
     };
 

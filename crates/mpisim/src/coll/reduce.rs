@@ -136,7 +136,7 @@ pub fn allreduce(
     if c.size() > 1 && !acc.is_empty() {
         let tuning = mpi.profile().coll;
         if tuning.hierarchical && spans_nodes(mpi, &c) && acc.len() <= tuning.two_level_max {
-            obs::count("coll.allreduce.algo.two_level", 1);
+            obs::count(obs::pvar::COLL_ALLREDUCE_ALGO_TWO_LEVEL, 1);
             two_level(mpi, &c, &mut acc, dt, op, tuning.allreduce_rd_max)?;
         } else {
             flat(mpi, &c, &mut acc, dt, op, &tuning)?;
@@ -176,7 +176,7 @@ pub(super) fn flat(
         && tuning.allreduce_ring_above_rd
         && acc.len() >= c.size() * dt.base_type().size()
     {
-        obs::count("coll.allreduce.algo.ring", 1);
+        obs::count(obs::pvar::COLL_ALLREDUCE_ALGO_RING, 1);
         return ring(mpi, c, acc, dt, op);
     }
     let p = c.size();
@@ -203,10 +203,10 @@ pub(super) fn flat(
         // Map a new rank back to a communicator rank.
         let real = |v: usize| if v < rem { 2 * v + 1 } else { v + rem };
         if acc.len() <= rd_max || acc.len() < pof2 * dt.base_type().size() {
-            obs::count("coll.allreduce.algo.recursive_doubling", 1);
+            obs::count(obs::pvar::COLL_ALLREDUCE_ALGO_RECURSIVE_DOUBLING, 1);
             recursive_doubling(mpi, c, acc, dt, op, nr, pof2, real)?;
         } else {
-            obs::count("coll.allreduce.algo.rabenseifner", 1);
+            obs::count(obs::pvar::COLL_ALLREDUCE_ALGO_RABENSEIFNER, 1);
             rabenseifner(mpi, c, acc, dt, op, nr, pof2, real)?;
         }
     }

@@ -188,7 +188,7 @@ impl Schedule {
                     };
                     op::apply(op, &dt, dbuf, sbuf)?;
                     compute_ns += len as f64 * self.reduce_per_byte_ns;
-                    obs::count("coll.nb.reduce_bytes", len as u64);
+                    obs::count(obs::pvar::COLL_NB_REDUCE_BYTES, len as u64);
                 }
                 Step::Copy {
                     src,
@@ -227,7 +227,7 @@ impl Schedule {
                         let world = self.ranks[src] as i32;
                         let r = eng.irecv_bytes(len, world, tag, self.ctx)?;
                         posted.push((r, Some(RecvSlot { buf, off, len })));
-                        obs::count("coll.nb.recvs", 1);
+                        obs::count(obs::pvar::COLL_NB_RECVS, 1);
                     }
                     Step::Send { buf, off, len, dst } => {
                         let world = self.ranks[dst];
@@ -236,8 +236,8 @@ impl Schedule {
                         let data = &self.bufs[buf][off..off + len];
                         let r = eng.isend_bytes(data, world, tag, self.ctx)?;
                         posted.push((r, None));
-                        obs::count("coll.nb.sends", 1);
-                        obs::count("coll.nb.bytes", len as u64);
+                        obs::count(obs::pvar::COLL_NB_SENDS, 1);
+                        obs::count(obs::pvar::COLL_NB_BYTES, len as u64);
                     }
                     _ => {}
                 }
@@ -954,8 +954,8 @@ pub(crate) fn compile(
         timeline: now,
         posted_at: now,
     };
-    obs::count("coll.nb.posted", 1);
-    obs::count("coll.nb.rounds", sched.rounds.len() as u64);
+    obs::count(obs::pvar::COLL_NB_POSTED, 1);
+    obs::count(obs::pvar::COLL_NB_ROUNDS, sched.rounds.len() as u64);
     // Fire round 0 immediately: receives are pre-posted and first-round
     // sends leave at post time, so wire time overlaps whatever the
     // application computes before Wait.

@@ -23,6 +23,7 @@
 //! modern hardware-offloaded rendezvous — so it never inflates the
 //! receiver's application-visible clock.
 
+use obs::pvar;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -785,7 +786,7 @@ impl Engine {
                     // checksum rejects them and the oracle retransmits.
                 }
                 Fate::Dropped => {
-                    obs::count("fabric.drops_injected", 1);
+                    obs::count(pvar::FABRIC_DROPS_INJECTED, 1);
                 }
             }
             if matches!(out.fate, Fate::Delivered | Fate::Duplicated) {
@@ -817,8 +818,8 @@ impl Engine {
                 });
             }
             let backoff = plan.rto_ns * 2f64.powi(attempt as i32);
-            obs::count("fabric.retransmits", 1);
-            obs::count("reliability.backoff_ns", backoff as u64);
+            obs::count(pvar::FABRIC_RETRANSMITS, 1);
+            obs::count(pvar::RELIABILITY_BACKOFF_NS, backoff as u64);
             let resend_at = t + VDur::from_nanos(backoff);
             if obs::tracing_enabled() {
                 obs::span(
@@ -873,7 +874,7 @@ impl Engine {
             Some((crashed, ms)) => match self.ep.recv_timeout(Duration::from_millis(ms)) {
                 Some(d) => Ok(d),
                 None => {
-                    obs::count("fabric.watchdog_trips", 1);
+                    obs::count(pvar::FABRIC_WATCHDOG_TRIPS, 1);
                     obs::incident_mark(
                         "watchdog",
                         crashed,
@@ -938,8 +939,8 @@ impl Engine {
                     stamp,
                 },
             )?;
-            obs::count("pt2pt.eager_msgs", 1);
-            obs::count("pt2pt.eager_bytes", data.len() as u64);
+            obs::count(pvar::PT2PT_EAGER_MSGS, 1);
+            obs::count(pvar::PT2PT_EAGER_BYTES, data.len() as u64);
             if obs::tracing_enabled() {
                 self.trace_send(stamp, "eager", dst, tag, data.len(), inject_at, arrival);
             }
@@ -949,8 +950,8 @@ impl Engine {
         } else {
             // Rendezvous: inject RTS, park the payload until CTS.
             self.clock.charge(path.loggp.o_send());
-            obs::count("pt2pt.rndv_msgs", 1);
-            obs::count("pt2pt.rndv_bytes", data.len() as u64);
+            obs::count(pvar::PT2PT_RNDV_MSGS, 1);
+            obs::count(pvar::PT2PT_RNDV_BYTES, data.len() as u64);
             if obs::tracing_enabled() {
                 // The fabric span for the payload is emitted when the CTS
                 // triggers the actual transfer.
@@ -1070,7 +1071,7 @@ impl Engine {
         // First look at the unexpected queue (arrival order).
         let pos = {
             let _wp = wallprof::span(WpSub::Match);
-            obs::count("pt2pt.match.scans", 1);
+            obs::count(pvar::PT2PT_MATCH_SCANS, 1);
             wallprof::add(WpCounter::MatchScans, 1);
             let mut full = 0u64;
             let pos = self.unexpected.iter().position(|u| {
@@ -1085,8 +1086,8 @@ impl Engine {
         };
         if let Some(pos) = pos {
             let u = self.unexpected.remove(pos);
-            obs::count("pt2pt.unexpected_hits", 1);
-            obs::gauge_set("pt2pt.unexpected_depth", self.unexpected.len() as i64);
+            obs::count(pvar::PT2PT_UNEXPECTED_HITS, 1);
+            obs::gauge_set(pvar::PT2PT_UNEXPECTED_DEPTH, self.unexpected.len() as i64);
             return self.match_unexpected(spec, capacity, u);
         }
         let posted_at = self.clock.now();
@@ -1203,7 +1204,7 @@ impl Engine {
         // the telemetry interval an update lands in is then a function of
         // the message, not of real-time mailbox pop order.
         obs::telemetry_tick(d.arrival);
-        obs::count("engine.deliveries", 1);
+        obs::count(pvar::ENGINE_DELIVERIES, 1);
         let frame = d.msg;
         if self.plan.is_some() {
             let _wr = wallprof::span(WpSub::Reliability);
@@ -1214,18 +1215,18 @@ impl Engine {
                 return Ok(());
             }
             if frame.checksum != frame_checksum(frame.seq, &frame.wire) {
-                obs::count("fabric.corrupt_detected", 1);
+                obs::count(pvar::FABRIC_CORRUPT_DETECTED, 1);
                 return Ok(());
             }
             if !self.seen[d.src].insert(frame.seq) {
-                obs::count("fabric.dups_suppressed", 1);
+                obs::count(pvar::FABRIC_DUPS_SUPPRESSED, 1);
                 return Ok(());
             }
             // Positive ack, out-of-band: one latency after the frame
             // landed, without occupying the reverse data port (the RC
             // transport acks from the NIC, not through the send queue).
             let path = *self.path_to(d.src);
-            obs::count("fabric.acks", 1);
+            obs::count(pvar::FABRIC_ACKS, 1);
             self.ep.send_oob(
                 d.src,
                 d.arrival + VDur::from_nanos(path.loggp.latency_ns),
@@ -1272,7 +1273,7 @@ impl Engine {
                         data,
                         stamp,
                     });
-                    obs::gauge_set("pt2pt.unexpected_depth", self.unexpected.len() as i64);
+                    obs::gauge_set(pvar::PT2PT_UNEXPECTED_DEPTH, self.unexpected.len() as i64);
                 }
             }
             Wire::Rts {
@@ -1317,7 +1318,7 @@ impl Engine {
                         sender_req,
                         nbytes,
                     });
-                    obs::gauge_set("pt2pt.unexpected_depth", self.unexpected.len() as i64);
+                    obs::gauge_set(pvar::PT2PT_UNEXPECTED_DEPTH, self.unexpected.len() as i64);
                 }
             }
             Wire::Cts { sender_req } => {
@@ -1378,8 +1379,8 @@ impl Engine {
                 // Find the AwaitData receive matching this source/context.
                 let idx = {
                     let _wm = wallprof::span(WpSub::Match);
-                    obs::count("pt2pt.match.scans", 1);
-                    obs::gauge_set("pt2pt.match.maxdepth", self.posted.len() as i64);
+                    obs::count(pvar::PT2PT_MATCH_SCANS, 1);
+                    obs::gauge_set(pvar::PT2PT_MATCH_MAXDEPTH, self.posted.len() as i64);
                     wallprof::add(WpCounter::MatchScans, 1);
                     let ek = env_key(&env);
                     let requests = &self.requests;
@@ -1448,7 +1449,7 @@ impl Engine {
                         arrival: d.arrival,
                         wire,
                     });
-                    obs::count("rma.epoch.deferred", 1);
+                    obs::count(pvar::RMA_EPOCH_DEFERRED, 1);
                 } else {
                     self.apply_one_sided(d.src, d.arrival, wire)?;
                 }
@@ -1487,8 +1488,8 @@ impl Engine {
         // message; depth = receives the app had outstanding), so they are
         // safe as pvars; comparison counts depend on the packed pre-filter
         // and stay wall-side only.
-        obs::count("pt2pt.match.scans", 1);
-        obs::gauge_set("pt2pt.match.maxdepth", self.posted.len() as i64);
+        obs::count(pvar::PT2PT_MATCH_SCANS, 1);
+        obs::gauge_set(pvar::PT2PT_MATCH_MAXDEPTH, self.posted.len() as i64);
         wallprof::add(WpCounter::MatchScans, 1);
         let ek = env_key(env);
         let requests = &self.requests;
@@ -1797,7 +1798,7 @@ impl Engine {
                     .filter(|&e| e <= w.mem.len())
                     .ok_or(MpiError::ProtocolError("one-sided put outside the window"))?;
                 w.mem[offset..end].copy_from_slice(&data);
-                obs::count("rma.put.applied", 1);
+                obs::count(pvar::RMA_PUT_APPLIED, 1);
                 if obs::tracing_enabled() {
                     obs::flow(
                         "msg",
@@ -1882,7 +1883,7 @@ impl Engine {
                         "one-sided accumulate outside the window",
                     ))?;
                 crate::op::apply(op, &crate::datatype::INT, &mut w.mem[offset..end], &data)?;
-                obs::count("rma.acc.applied", 1);
+                obs::count(pvar::RMA_ACC_APPLIED, 1);
                 if obs::tracing_enabled() {
                     obs::flow(
                         "msg",
@@ -2045,9 +2046,9 @@ impl Engine {
         let path = *self.path_to(dst);
         if data.len() <= path.rma_eager_threshold {
             self.clock.charge(path.eager_copy(data.len()));
-            obs::count("rma.put.eager", 1);
+            obs::count(pvar::RMA_PUT_EAGER, 1);
         } else {
-            obs::count("rma.put.zcopy", 1);
+            obs::count(pvar::RMA_PUT_ZCOPY, 1);
         }
         self.clock.charge(path.loggp.o_send());
         let stamp = FlowStamp {
@@ -2070,8 +2071,8 @@ impl Engine {
                 stamp,
             },
         )?;
-        obs::count("rma.put.msgs", 1);
-        obs::count("rma.put.bytes", data.len() as u64);
+        obs::count(pvar::RMA_PUT_MSGS, 1);
+        obs::count(pvar::RMA_PUT_BYTES, data.len() as u64);
         if obs::tracing_enabled() {
             self.trace_rma("rma.put", dst, data.len(), stamp, inject_at, arrival);
         }
@@ -2123,8 +2124,8 @@ impl Engine {
                 stamp,
             },
         )?;
-        obs::count("rma.acc.msgs", 1);
-        obs::count("rma.acc.bytes", data.len() as u64);
+        obs::count(pvar::RMA_ACC_MSGS, 1);
+        obs::count(pvar::RMA_ACC_BYTES, data.len() as u64);
         if obs::tracing_enabled() {
             self.trace_rma("rma.acc", dst, data.len(), stamp, inject_at, arrival);
         }
@@ -2175,8 +2176,8 @@ impl Engine {
             self.requests.remove(&id);
             return Err(e);
         }
-        obs::count("rma.get.msgs", 1);
-        obs::count("rma.get.bytes", nbytes as u64);
+        obs::count(pvar::RMA_GET_MSGS, 1);
+        obs::count(pvar::RMA_GET_BYTES, nbytes as u64);
         if obs::tracing_enabled() {
             self.trace_rma("rma.get", dst, nbytes, stamp, inject_at, inject_at);
         }

@@ -993,7 +993,7 @@ impl Mpi {
                 vec![("coll", obs::ArgValue::U64(st.sched.coll_id))],
             );
         }
-        obs::count("coll.nb.completed", 1);
+        obs::count(obs::pvar::COLL_NB_COMPLETED, 1);
         let my_rank = self.info(st.comm)?.my_rank;
         let data = st.sched.take_output();
         match recv {
@@ -1197,7 +1197,7 @@ impl Mpi {
             pending_gets: Vec::new(),
             locked: None,
         }));
-        obs::count("rma.win.created", 1);
+        obs::count(obs::pvar::RMA_WIN_CREATED, 1);
         Ok(Win(self.wins.len() - 1))
     }
 
@@ -1254,11 +1254,11 @@ impl Mpi {
             return;
         }
         match self.reg.lookup(reg_key, bytes) {
-            RegLookup::Hit => obs::count("rma.reg.hit", 1),
+            RegLookup::Hit => obs::count(obs::pvar::RMA_REG_HIT, 1),
             RegLookup::Miss { evicted } => {
-                obs::count("rma.reg.miss", 1);
+                obs::count(obs::pvar::RMA_REG_MISS, 1);
                 if evicted {
-                    obs::count("rma.reg.evict", 1);
+                    obs::count(obs::pvar::RMA_REG_EVICT, 1);
                 }
                 let begin = self.eng.now();
                 self.eng.clock_mut().charge(path.rma_reg(bytes));
@@ -1400,7 +1400,7 @@ impl Mpi {
         let puts = std::mem::take(&mut self.win_info_mut(win)?.pending_puts);
         let gets = std::mem::take(&mut self.win_info_mut(win)?.pending_gets);
         let out = self.flush_rma(comm, puts, gets)?;
-        obs::count("rma.fence.epochs", 1);
+        obs::count(obs::pvar::RMA_FENCE_EPOCHS, 1);
         self.barrier(comm)?;
         // A 1-rank window's barrier moves no messages; drain self-targeted
         // deliveries explicitly so local puts are applied before reads.
@@ -1453,7 +1453,7 @@ impl Mpi {
         let r = self.eng.rma_control_roundtrip(wtarget);
         self.route(comm, r)?;
         self.win_info_mut(win)?.locked = Some(wtarget);
-        obs::count("rma.lock.acquired", 1);
+        obs::count(obs::pvar::RMA_LOCK_ACQUIRED, 1);
         Ok(())
     }
 

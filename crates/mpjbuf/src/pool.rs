@@ -7,6 +7,7 @@
 //! power-of-two free lists and reuses them for the cost of a list pop.
 
 use mrt::{DirectBuffer, Runtime};
+use obs::pvar;
 use vtime::{Clock, VDur};
 
 /// Pool behaviour counters.
@@ -94,8 +95,8 @@ impl BufferPool {
             obs::wallprof::add(obs::wallprof::Counter::Allocs, 1);
             self.stats.fallback_allocs += 1;
             self.stats.outstanding += 1;
-            obs::count("mpjbuf.pool.fallback_allocs", 1);
-            obs::gauge_set("mpjbuf.pool.outstanding", self.stats.outstanding as i64);
+            obs::count(pvar::MPJBUF_POOL_FALLBACK_ALLOCS, 1);
+            obs::gauge_set(pvar::MPJBUF_POOL_OUTSTANDING, self.stats.outstanding as i64);
             if !self.warned_fallback {
                 self.warned_fallback = true;
                 eprintln!(
@@ -121,16 +122,16 @@ impl BufferPool {
         let idx = (class - MIN_CLASS) as usize;
         let t0 = clock.now();
         self.stats.outstanding += 1;
-        obs::gauge_set("mpjbuf.pool.outstanding", self.stats.outstanding as i64);
+        obs::gauge_set(pvar::MPJBUF_POOL_OUTSTANDING, self.stats.outstanding as i64);
         let buf = if let Some(buf) = self.classes[idx].pop() {
             self.stats.hits += 1;
-            obs::count("mpjbuf.pool.hits", 1);
+            obs::count(pvar::MPJBUF_POOL_HITS, 1);
             self.stats.pooled_bytes -= buf.capacity();
             clock.charge(VDur::from_nanos(rt.cost().pool.acquire_hit_ns));
             buf
         } else {
             self.stats.misses += 1;
-            obs::count("mpjbuf.pool.misses", 1);
+            obs::count(pvar::MPJBUF_POOL_MISSES, 1);
             obs::wallprof::add(obs::wallprof::Counter::Allocs, 1);
             rt.allocate_direct(1usize << class, clock)
         };
@@ -154,8 +155,8 @@ impl BufferPool {
         if buf.capacity() > 1 << MAX_CLASS {
             self.stats.releases += 1;
             self.stats.outstanding = self.stats.outstanding.saturating_sub(1);
-            obs::count("mpjbuf.pool.releases", 1);
-            obs::gauge_set("mpjbuf.pool.outstanding", self.stats.outstanding as i64);
+            obs::count(pvar::MPJBUF_POOL_RELEASES, 1);
+            obs::gauge_set(pvar::MPJBUF_POOL_OUTSTANDING, self.stats.outstanding as i64);
             clock.charge(VDur::from_nanos(rt.cost().pool.release_ns));
             rt.free_direct(buf, clock).expect("fallback buffer is live");
             return;
@@ -170,8 +171,8 @@ impl BufferPool {
         let t0 = clock.now();
         self.stats.releases += 1;
         self.stats.outstanding = self.stats.outstanding.saturating_sub(1);
-        obs::count("mpjbuf.pool.releases", 1);
-        obs::gauge_set("mpjbuf.pool.outstanding", self.stats.outstanding as i64);
+        obs::count(pvar::MPJBUF_POOL_RELEASES, 1);
+        obs::gauge_set(pvar::MPJBUF_POOL_OUTSTANDING, self.stats.outstanding as i64);
         clock.charge(VDur::from_nanos(rt.cost().pool.release_ns));
         let cap = buf.capacity();
         if self.classes[idx].len() < self.per_class_limit {

@@ -120,8 +120,8 @@ impl Heap {
         }
         clock.charge(cost.heap_alloc(len));
         // Allocation pressure: how fast the mutator is filling the heap.
-        obs::count("mrt.heap.allocs", 1);
-        obs::count("mrt.heap.alloc_bytes", len as u64);
+        obs::count(obs::pvar::MRT_HEAP_ALLOCS, 1);
+        obs::count(obs::pvar::MRT_HEAP_ALLOC_BYTES, len as u64);
         let offset = self.top;
         self.top += len;
         self.space[offset..offset + len].fill(0);
@@ -216,10 +216,10 @@ impl Heap {
         self.stats.bytes_copied += copied;
         let pause_begin = clock.now();
         clock.charge(cost.gc_pause(new_top));
-        obs::count("mrt.gc.collections", 1);
-        obs::count("mrt.gc.bytes_copied", copied);
+        obs::count(obs::pvar::MRT_GC_COLLECTIONS, 1);
+        obs::count(obs::pvar::MRT_GC_BYTES_COPIED, copied);
         obs::observe(
-            "mrt.gc.pauses_ns",
+            obs::pvar::MRT_GC_PAUSES_NS,
             clock.now().saturating_since(pause_begin).as_nanos(),
         );
         if obs::tracing_enabled() {

@@ -49,7 +49,7 @@ pub struct NativeArray<T: Prim> {
 pub fn jni_transition(rt: &Runtime, clock: &mut Clock) {
     let t0 = clock.now();
     clock.charge(rt.cost().jni_transition());
-    obs::count("nif.transitions", 1);
+    obs::count(obs::pvar::NIF_TRANSITIONS, 1);
     obs::span("transition", "nif", t0, clock.now(), Vec::new());
 }
 
@@ -65,7 +65,7 @@ pub fn get_array_elements<T: Prim>(
     let t0 = clock.now();
     clock.charge(rt.cost().jni_transition());
     clock.charge(VDur::from_nanos(rt.cost().jni.get_array_elements_fixed_ns));
-    obs::count("nif.crossings.copy", 1);
+    obs::count(obs::pvar::NIF_CROSSINGS_COPY, 1);
     let mut data = vec![T::default(); arr.len()];
     // Bulk copy out (charged inside array_read as a memcpy).
     rt.array_read(arr, 0, &mut data, clock)?;
@@ -100,7 +100,7 @@ pub fn release_array_elements<T: Prim>(
     clock.charge(VDur::from_nanos(
         rt.cost().jni.release_array_elements_fixed_ns,
     ));
-    obs::count("nif.crossings.copy", 1);
+    obs::count(obs::pvar::NIF_CROSSINGS_COPY, 1);
     let out = match mode {
         ReleaseMode::CopyBack | ReleaseMode::Commit => rt.array_write(arr, 0, &native.data, clock),
         ReleaseMode::Abort => Ok(()),
@@ -173,7 +173,7 @@ pub fn get_primitive_array_critical<'a, T: Prim>(
     let t0 = clock.now();
     clock.charge(rt.cost().jni_transition());
     clock.charge(VDur::from_nanos(rt.cost().jni.critical_fixed_ns));
-    obs::count("nif.crossings.critical", 1);
+    obs::count(obs::pvar::NIF_CROSSINGS_CRITICAL, 1);
     obs::span("critical", "nif", t0, clock.now(), Vec::new());
     // Validate liveness before locking the collector.
     rt.heap().bytes(arr.handle())?;
@@ -190,7 +190,7 @@ pub fn get_direct_buffer_address<'a>(
     let t0 = clock.now();
     clock.charge(rt.cost().jni_transition());
     clock.charge(VDur::from_nanos(rt.cost().jni.get_direct_buffer_address_ns));
-    obs::count("nif.crossings.direct", 1);
+    obs::count(obs::pvar::NIF_CROSSINGS_DIRECT, 1);
     obs::span("direct_address", "nif", t0, clock.now(), Vec::new());
     rt.direct_bytes(buf)
 }
@@ -204,7 +204,7 @@ pub fn get_direct_buffer_address_mut<'a>(
     let t0 = clock.now();
     clock.charge(rt.cost().jni_transition());
     clock.charge(VDur::from_nanos(rt.cost().jni.get_direct_buffer_address_ns));
-    obs::count("nif.crossings.direct", 1);
+    obs::count(obs::pvar::NIF_CROSSINGS_DIRECT, 1);
     obs::span("direct_address", "nif", t0, clock.now(), Vec::new());
     rt.direct_bytes_mut(buf)
 }

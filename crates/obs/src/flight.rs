@@ -2,27 +2,26 @@
 //!
 //! Full tracing (`ObsOptions::tracing`) keeps every event and is priced
 //! accordingly — fine for a benchmark sweep, unaffordable for long or
-//! large runs. The flight recorder reuses the same [`TraceRing`] but with
-//! a small fixed capacity (default [`DEFAULT_FLIGHT_CAPACITY`]): the ring
-//! always holds the *most recent* events, evicting oldest-first, and the
-//! number of evictions is surfaced in the [`DROPPED_PVAR`] pvar so a
-//! reader knows exactly how much history the window lost. The window is
-//! what an incident bundle drains when a fault fires (see
-//! [`crate::incident`]).
+//! large runs. The flight window is a view of the rank's one event ring:
+//! its newest [`FLIGHT_CAPACITY`] events. The ring holds at least that
+//! many whenever the window is live, and every event that ages out of the
+//! window is counted in the [`DROPPED_PVAR`] pvar so a reader knows
+//! exactly how much history the window lost. The window is what an
+//! incident bundle drains when a fault fires (see [`crate::incident`]).
 //!
 //! Costs: zero virtual time (events only read clocks), and on the wall
 //! clock a push is a `VecDeque` rotate — no allocation once the ring is
 //! full.
 
-use crate::trace::{TraceEvent, TraceRing};
+use crate::trace::TraceEvent;
 
-/// Counts events evicted from the flight ring (window wraps).
-pub const DROPPED_PVAR: &str = "flight.dropped";
+/// Counts events that aged out of the flight window.
+pub const DROPPED_PVAR: &str = crate::pvar::FLIGHT_DROPPED.name();
 
-/// Default flight-window size: large enough to hold the full protocol
-/// exchange for the last few operations on a rank, small enough that a
-/// 4k-rank incident bundle stays in the tens of megabytes.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 512;
+/// Flight-window size: large enough to hold the full protocol exchange
+/// for the last few operations on a rank, small enough that a 4k-rank
+/// incident bundle stays in the tens of megabytes.
+pub const FLIGHT_CAPACITY: usize = 512;
 
 /// A drained flight window: the last `events.len()` events recorded on a
 /// rank, plus how many older events the window dropped to stay bounded.
@@ -33,11 +32,6 @@ pub struct FlightWindow {
 }
 
 impl FlightWindow {
-    pub(crate) fn from_ring(ring: TraceRing) -> Self {
-        let (events, dropped) = ring.into_events();
-        FlightWindow { events, dropped }
-    }
-
     /// Virtual timestamp of the newest event in the window, if any.
     pub fn last_event_ns(&self) -> Option<f64> {
         self.events.last().map(|e| e.ts_ns)
@@ -47,44 +41,28 @@ impl FlightWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{install, instant, uninstall, ObsOptions};
 
-    fn ev(i: u64) -> TraceEvent {
-        TraceEvent::instant("e", "test", vtime::VTime::from_nanos(i as f64), vec![])
-    }
-
-    #[test]
-    fn window_keeps_newest_and_counts_drops_exactly() {
-        let mut ring = TraceRing::new(4);
-        for i in 0..10 {
-            ring.push(ev(i));
+    /// Record `n` instants (timestamps `0..n`) on a flight-only recorder.
+    fn drain(n: usize) -> FlightWindow {
+        install(0, ObsOptions::default().with_flight());
+        for i in 0..n {
+            instant("e", "test", vtime::VTime::from_nanos(i as f64), vec![]);
         }
-        let w = FlightWindow::from_ring(ring);
-        assert_eq!(w.dropped, 6, "10 pushed into capacity 4 drops 6");
-        let ts: Vec<f64> = w.events.iter().map(|e| e.ts_ns).collect();
-        assert_eq!(ts, vec![6.0, 7.0, 8.0, 9.0], "oldest-first eviction");
-        assert_eq!(w.last_event_ns(), Some(9.0));
+        uninstall()
+            .and_then(|r| r.flight)
+            .expect("flight window drained")
     }
 
     #[test]
     fn under_capacity_drops_nothing() {
-        let mut ring = TraceRing::new(8);
-        for i in 0..3 {
-            ring.push(ev(i));
-        }
-        let w = FlightWindow::from_ring(ring);
+        let w = drain(3);
         assert_eq!(w.dropped, 0);
         assert_eq!(w.events.len(), 3);
     }
 
     #[test]
     fn drained_order_is_stable_across_reruns() {
-        let drain = || {
-            let mut ring = TraceRing::new(3);
-            for i in 0..7 {
-                ring.push(ev(i));
-            }
-            FlightWindow::from_ring(ring)
-        };
-        assert_eq!(drain(), drain());
+        assert_eq!(drain(FLIGHT_CAPACITY + 4), drain(FLIGHT_CAPACITY + 4));
     }
 }

@@ -21,10 +21,6 @@
 use crate::json::JsonBuf;
 use crate::{telemetry, JobReport};
 
-/// Counts incident marks dropped on a rank (normally 0 or 1; a mark
-/// arriving after the first still counts here but does not replace it).
-pub const MARKS_PVAR: &str = "incident.marks";
-
 /// The first fault a rank observed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncidentMark {

@@ -5,14 +5,16 @@
 //! OSU INAM monitoring stack; this crate plays that role for the
 //! simulation: every layer (engine, collectives, managed runtime, JNI
 //! boundary, buffering pool, bindings) reports *performance variables*
-//! (counters / gauges / histograms, see [`pvar`]) and *virtual-time trace
-//! events* (see [`trace`]) through a per-rank recorder. On top of those
-//! primitives sit three time-aware surfaces:
+//! (counters / gauges / histograms, resolved through the static table in
+//! [`pvar`]) and *virtual-time trace events* (see [`trace`]) through a
+//! per-rank recorder. On top of those primitives sit three time-aware
+//! surfaces:
 //!
 //! * [`telemetry`] — a virtual-time sampler binning every pvar update
 //!   into fixed intervals of the simulation clock (per-rank time-series).
-//! * [`flight`] — an always-on bounded flight recorder: the last N trace
-//!   events per rank, evictions counted in `flight.dropped`.
+//! * [`flight`] — an always-on bounded flight recorder: a view of the
+//!   newest [`FLIGHT_CAPACITY`] events of the rank's one event ring,
+//!   older events counted in `flight.dropped`.
 //! * [`incident`] — fault-triggered bundles: ring + pvars + telemetry
 //!   drained into one JSON document when a fault fires.
 //!
@@ -30,7 +32,7 @@
 //!   thread (see `simfabric::run_cluster`), so the recorder is a
 //!   thread-local installed by the job harness around the rank closure.
 //!   Every layer below calls the free functions ([`count`], [`observe`],
-//!   [`span`], …).
+//!   [`span`], …), naming a pvar by its [`pvar`] table id.
 //! * **Cheap when off.** Every free function opens with one relaxed load
 //!   of a thread-local gate word and returns if no sink wants the record
 //!   — no `RefCell` borrow, no argument-vector allocation downstream
@@ -47,19 +49,20 @@ pub mod telemetry;
 pub mod trace;
 pub mod wallprof;
 
-pub use flight::{FlightWindow, DEFAULT_FLIGHT_CAPACITY};
+pub use flight::{FlightWindow, FLIGHT_CAPACITY};
 pub use incident::IncidentMark;
-pub use pvar::{bucket_of, Log2Hist, PvarSet, PvarValue, HIST_BUCKETS};
+pub use pvar::{Hist, PvarSet, PvarValue};
 pub use telemetry::{RankSeries, Sample};
 pub use trace::{ArgValue, FlowDir, TraceEvent, TraceRing};
 
 /// Pvar counting trace events evicted from the ring (satellite of the
 /// analyzer: truncated traces are flagged, not silently misread).
-pub const DROPPED_EVENTS_PVAR: &str = "trace.dropped_events";
+pub const DROPPED_EVENTS_PVAR: &str = pvar::TRACE_DROPPED_EVENTS.name();
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use pvar::{CounterId, GaugeId, HistId};
 use vtime::VTime;
 
 /// Per-job observability switches. Carried by the job configuration of
@@ -69,17 +72,15 @@ pub struct ObsOptions {
     /// Collect trace events (pvars are always collected while a recorder
     /// is installed; the unbounded-ish event ring is the expensive part).
     pub tracing: bool,
-    /// Ring capacity per rank (newest events win).
+    /// Trace capacity per rank (newest events win).
     pub ring_capacity: usize,
     /// Wall-clock self-profiling of the simulator (see [`wallprof`]).
     /// Never affects virtual time or any determinism digest.
     pub profiling: bool,
-    /// Keep a bounded flight window of the most recent trace events
-    /// (see [`flight`]) — independent of `tracing`, cheap enough to stay
-    /// on for long runs.
+    /// Keep a flight window of the newest [`FLIGHT_CAPACITY`] trace
+    /// events (see [`flight`]) — independent of `tracing`, cheap enough to
+    /// stay on for long runs.
     pub flight: bool,
-    /// Flight window capacity per rank.
-    pub flight_capacity: usize,
     /// Telemetry sampling interval in virtual nanoseconds; `0.0` turns
     /// the sampler off (see [`telemetry`]).
     pub telemetry_interval_ns: f64,
@@ -108,7 +109,7 @@ impl ObsOptions {
         }
     }
 
-    /// Enable the flight recorder (default window size).
+    /// Enable the flight recorder.
     pub fn with_flight(mut self) -> Self {
         self.flight = true;
         self
@@ -133,7 +134,6 @@ impl Default for ObsOptions {
             ring_capacity: Self::DEFAULT_RING_CAPACITY,
             profiling: false,
             flight: false,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             telemetry_interval_ns: 0.0,
         }
     }
@@ -150,8 +150,8 @@ impl Default for ObsOptions {
 
 /// A recorder is installed: pvar updates have somewhere to go.
 pub(crate) const GATE_PVARS: u32 = 1;
-/// At least one event sink (full trace ring and/or flight window) wants
-/// span/instant/flow records.
+/// At least one event sink (the trace and/or the flight window, both read
+/// from the recorder's one event ring) wants span/instant/flow records.
 pub(crate) const GATE_EVENTS: u32 = 1 << 1;
 /// The telemetry sampler is binning updates by virtual time.
 pub(crate) const GATE_TELEMETRY: u32 = 1 << 2;
@@ -179,11 +179,13 @@ pub(crate) fn set_gate(bit: u32, on: bool) {
 struct Recorder {
     rank: usize,
     label: String,
-    tracing: bool,
     pvars: PvarSet,
+    /// The one event ring both event sinks read, sized for the larger.
     ring: TraceRing,
-    /// Bounded always-on window (`ObsOptions::flight`).
-    flight: Option<TraceRing>,
+    /// Trace capacity (`ObsOptions::ring_capacity`) when tracing is on.
+    trace_capacity: Option<usize>,
+    /// The flight window (`ObsOptions::flight`) is live.
+    flight: bool,
     /// Virtual-time sampler (`ObsOptions::telemetry_interval_ns > 0`).
     telemetry: Option<telemetry::Sampler>,
     /// First fault this rank observed (first mark wins).
@@ -197,14 +199,16 @@ thread_local! {
 /// Install a recorder for this thread (one simulated rank). Replaces any
 /// previous recorder.
 pub fn install(rank: usize, opts: ObsOptions) {
+    let trace_capacity = opts.tracing.then(|| opts.ring_capacity.max(1));
+    let flight_capacity = if opts.flight { FLIGHT_CAPACITY } else { 0 };
     RECORDER.with(|r| {
         *r.borrow_mut() = Some(Recorder {
             rank,
             label: format!("rank {rank}"),
-            tracing: opts.tracing,
             pvars: PvarSet::new(),
-            ring: TraceRing::new(opts.ring_capacity),
-            flight: opts.flight.then(|| TraceRing::new(opts.flight_capacity)),
+            ring: TraceRing::new(trace_capacity.unwrap_or(0).max(flight_capacity)),
+            trace_capacity,
+            flight: opts.flight,
             telemetry: (opts.telemetry_interval_ns > 0.0)
                 .then(|| telemetry::Sampler::new(opts.telemetry_interval_ns)),
             incident: None,
@@ -235,14 +239,29 @@ pub fn uninstall() -> Option<RankReport> {
     let wall = wallprof::harvest();
     set_gate(GATE_PVARS | GATE_EVENTS | GATE_TELEMETRY, false);
     RECORDER.with(|r| r.borrow_mut().take()).map(|rec| {
-        let (events, dropped_events) = rec.ring.into_events();
+        let pushed = rec.ring.pushed();
+        let mut events = rec.ring.into_events();
+        let flight = rec.flight.then(|| {
+            let from = events.len().saturating_sub(FLIGHT_CAPACITY);
+            // Without tracing the ring holds only the window: move it out.
+            let window = match rec.trace_capacity {
+                Some(_) => events[from..].to_vec(),
+                None => events.split_off(from),
+            };
+            FlightWindow {
+                dropped: pushed - window.len() as u64,
+                events: window,
+            }
+        });
+        let kept = events.len().min(rec.trace_capacity.unwrap_or(0));
+        events.drain(..events.len() - kept);
         RankReport {
             rank: rec.rank,
             label: rec.label,
             pvars: rec.pvars,
             events,
-            dropped_events,
-            flight: rec.flight.map(FlightWindow::from_ring),
+            dropped_events: rec.trace_capacity.map_or(0, |_| pushed - kept as u64),
+            flight,
             telemetry: rec.telemetry.map(telemetry::Sampler::into_series),
             incident: rec.incident,
             wall,
@@ -250,12 +269,7 @@ pub fn uninstall() -> Option<RankReport> {
     })
 }
 
-/// Whether a recorder is installed on this thread.
-pub fn is_installed() -> bool {
-    gate() & GATE_PVARS != 0
-}
-
-/// Whether any event sink (full trace ring or flight window) is live
+/// Whether any event sink (trace or flight window) is live
 /// (lets callers skip building argument vectors when nothing would
 /// record them).
 #[inline]
@@ -264,97 +278,65 @@ pub fn tracing_enabled() -> bool {
 }
 
 impl Recorder {
-    /// Pvar update that also lands in the telemetry bin of the current
-    /// virtual interval.
-    fn count(&mut self, name: &str, n: u64) {
-        self.pvars.count(name, n);
+    /// Apply a pvar update to the cumulative set and to the telemetry bin
+    /// of the current virtual interval.
+    fn update(&mut self, f: impl Fn(&mut PvarSet)) {
+        f(&mut self.pvars);
         if let Some(s) = self.telemetry.as_mut() {
-            s.count(name, n);
+            f(s.bin());
         }
     }
 
-    fn gauge_set(&mut self, name: &str, v: i64) {
-        self.pvars.gauge_set(name, v);
-        if let Some(s) = self.telemetry.as_mut() {
-            s.gauge_set(name, v);
-        }
-    }
-
-    fn observe(&mut self, name: &str, v: f64) {
-        self.pvars.observe(name, v);
-        if let Some(s) = self.telemetry.as_mut() {
-            s.observe(name, v);
-        }
-    }
-
-    /// Push an event into whichever sinks are live, accounting ring
-    /// evictions under [`DROPPED_EVENTS_PVAR`] / [`flight::DROPPED_PVAR`].
+    /// Push an event into the ring if a sink is live. Each push past a
+    /// sink's capacity ages one event out of it, counted under
+    /// `flight.dropped` / `trace.dropped_events`.
     fn record(&mut self, ev: TraceEvent) {
-        match (self.tracing, self.flight.is_some()) {
-            (true, true) => {
-                let cloned = ev.clone();
-                if self.flight.as_mut().unwrap().push(cloned) {
-                    self.count(flight::DROPPED_PVAR, 1);
-                }
-                if self.ring.push(ev) {
-                    self.count(DROPPED_EVENTS_PVAR, 1);
-                }
-            }
-            (true, false) => {
-                if self.ring.push(ev) {
-                    self.count(DROPPED_EVENTS_PVAR, 1);
-                }
-            }
-            (false, true) => {
-                if self.flight.as_mut().unwrap().push(ev) {
-                    self.count(flight::DROPPED_PVAR, 1);
-                }
-            }
-            (false, false) => {}
+        if self.trace_capacity.is_none() && !self.flight {
+            return;
+        }
+        self.ring.push(ev);
+        let pushed = self.ring.pushed();
+        if self.flight && pushed > FLIGHT_CAPACITY as u64 {
+            self.update(|p| p.count(pvar::FLIGHT_DROPPED, 1));
+        }
+        if self.trace_capacity.is_some_and(|c| pushed > c as u64) {
+            self.update(|p| p.count(pvar::TRACE_DROPPED_EVENTS, 1));
         }
     }
 }
 
-/// Bump counter `name` by `n`.
+/// The one record path: run `f` on this thread's recorder unless every
+/// gate bit in `mask` is clear, timing it as obs work in the wall
+/// profile.
 #[inline]
-pub fn count(name: &str, n: u64) {
-    if gate() == 0 {
+fn probe(mask: u32, f: impl FnOnce(&mut Recorder)) {
+    if gate() & mask == 0 {
         return;
     }
     let _wp = wallprof::obs_record_span();
     RECORDER.with(|r| {
         if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.count(name, n);
+            f(rec);
         }
     });
 }
 
-/// Set gauge `name` to level `v`.
+/// Bump counter `id` by `n`.
 #[inline]
-pub fn gauge_set(name: &str, v: i64) {
-    if gate() == 0 {
-        return;
-    }
-    let _wp = wallprof::obs_record_span();
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.gauge_set(name, v);
-        }
-    });
+pub fn count(id: CounterId, n: u64) {
+    probe(u32::MAX, |rec| rec.update(|p| p.count(id, n)));
 }
 
-/// Record a histogram sample.
+/// Set gauge `id` to level `v`.
 #[inline]
-pub fn observe(name: &str, v: f64) {
-    if gate() == 0 {
-        return;
-    }
-    let _wp = wallprof::obs_record_span();
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.observe(name, v);
-        }
-    });
+pub fn gauge_set(id: GaugeId, v: i64) {
+    probe(u32::MAX, |rec| rec.update(|p| p.gauge_set(id, v)));
+}
+
+/// Record a sample of histogram `id`.
+#[inline]
+pub fn observe(id: HistId, v: f64) {
+    probe(u32::MAX, |rec| rec.update(|p| p.observe(id, v)));
 }
 
 /// Move this rank's telemetry sampler to the interval containing virtual
@@ -379,56 +361,38 @@ pub fn telemetry_tick(t: VTime) {
 
 /// Account `bytes` sent from `src` to `dst` under the per-link pvars
 /// `fabric.link.{src}->{dst}.bytes` / `.msgs`. Only live while telemetry
-/// is sampling (the dynamic names allocate; the timeline analyzer is
-/// their only consumer).
+/// is sampling (the timeline analyzer is their only consumer).
 #[inline]
 pub fn link_traffic(src: usize, dst: usize, bytes: u64) {
-    if gate() & GATE_TELEMETRY == 0 {
-        return;
-    }
-    let _wp = wallprof::obs_record_span();
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.count(&format!("fabric.link.{src}->{dst}.bytes"), bytes);
-            rec.count(&format!("fabric.link.{src}->{dst}.msgs"), 1);
-        }
+    probe(GATE_TELEMETRY, |rec| {
+        rec.update(|p| p.link_traffic(src, dst, bytes))
     });
 }
 
 /// Drop an incident mark on this rank: the engine observed fault `kind`
 /// (blaming `failed_rank`) at virtual time `at`. The first mark wins —
 /// later faults on the same rank are fallout and only bump the
-/// [`incident::MARKS_PVAR`] counter. Also lands an `"incident"` instant
-/// event in the live event sinks so the mark shows up inside the flight
-/// window itself.
+/// `incident.marks` counter. Also lands an `"incident"` instant event in
+/// the live event sinks so the mark shows up inside the flight window
+/// itself.
 pub fn incident_mark(kind: &'static str, failed_rank: usize, at: VTime, detail: String) {
-    if gate() & GATE_PVARS == 0 {
-        return;
-    }
-    let _wp = wallprof::obs_record_span();
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.count(incident::MARKS_PVAR, 1);
-            if rec.tracing || rec.flight.is_some() {
-                rec.record(TraceEvent::instant(
-                    "incident",
-                    "incident",
-                    at,
-                    vec![
-                        ("kind", ArgValue::Str(kind)),
-                        ("failed_rank", ArgValue::U64(failed_rank as u64)),
-                    ],
-                ));
-            }
-            if rec.incident.is_none() {
-                rec.incident = Some(IncidentMark {
-                    t_ns: at.as_nanos(),
-                    kind,
-                    failed_rank,
-                    detail,
-                });
-            }
-        }
+    probe(GATE_PVARS, |rec| {
+        rec.update(|p| p.count(pvar::INCIDENT_MARKS, 1));
+        rec.record(TraceEvent::instant(
+            "incident",
+            "incident",
+            at,
+            vec![
+                ("kind", ArgValue::Str(kind)),
+                ("failed_rank", ArgValue::U64(failed_rank as u64)),
+            ],
+        ));
+        rec.incident.get_or_insert(IncidentMark {
+            t_ns: at.as_nanos(),
+            kind,
+            failed_rank,
+            detail,
+        });
     });
 }
 
@@ -442,14 +406,8 @@ pub fn span(
     end: VTime,
     args: Vec<(&'static str, ArgValue)>,
 ) {
-    if gate() & (GATE_EVENTS | GATE_WALLPROF) == 0 {
-        return;
-    }
-    let _wp = wallprof::obs_record_span();
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.record(TraceEvent::span(name, cat, begin, end, args));
-        }
+    probe(GATE_EVENTS | GATE_WALLPROF, |rec| {
+        rec.record(TraceEvent::span(name, cat, begin, end, args))
     });
 }
 
@@ -461,14 +419,8 @@ pub fn instant(
     at: VTime,
     args: Vec<(&'static str, ArgValue)>,
 ) {
-    if gate() & (GATE_EVENTS | GATE_WALLPROF) == 0 {
-        return;
-    }
-    let _wp = wallprof::obs_record_span();
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.record(TraceEvent::instant(name, cat, at, args));
-        }
+    probe(GATE_EVENTS | GATE_WALLPROF, |rec| {
+        rec.record(TraceEvent::instant(name, cat, at, args))
     });
 }
 
@@ -484,14 +436,8 @@ pub fn flow(
     id: u64,
     args: Vec<(&'static str, ArgValue)>,
 ) {
-    if gate() & (GATE_EVENTS | GATE_WALLPROF) == 0 {
-        return;
-    }
-    let _wp = wallprof::obs_record_span();
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.record(TraceEvent::flow(name, cat, at, dir, id, args));
-        }
+    probe(GATE_EVENTS | GATE_WALLPROF, |rec| {
+        rec.record(TraceEvent::flow(name, cat, at, dir, id, args))
     });
 }
 
@@ -716,6 +662,7 @@ impl JobReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvar::{BIND_CALLS, MPJBUF_POOL_OUTSTANDING, MRT_GC_PAUSES_NS};
 
     /// Run `f` with a recorder installed, returning its report.
     fn with_recorder(opts: ObsOptions, f: impl FnOnce()) -> RankReport {
@@ -726,11 +673,10 @@ mod tests {
 
     #[test]
     fn uninstalled_api_is_a_no_op() {
-        assert!(!is_installed());
-        assert!(!tracing_enabled());
-        count("x", 1);
-        gauge_set("g", 2);
-        observe("h", 3.0);
+        assert_eq!(gate(), 0, "no recorder installed");
+        count(BIND_CALLS, 1);
+        gauge_set(MPJBUF_POOL_OUTSTANDING, 2);
+        observe(MRT_GC_PAUSES_NS, 3.0);
         span("s", "c", VTime::ZERO, VTime::from_nanos(1.0), vec![]);
         telemetry_tick(VTime::from_nanos(5.0));
         link_traffic(0, 1, 64);
@@ -741,9 +687,9 @@ mod tests {
     #[test]
     fn recorder_collects_pvars_and_events() {
         let rep = with_recorder(ObsOptions::traced(), || {
-            count("a.calls", 2);
-            gauge_set("a.depth", 5);
-            observe("a.ns", 12.0);
+            count(BIND_CALLS, 2);
+            gauge_set(MPJBUF_POOL_OUTSTANDING, 5);
+            observe(MRT_GC_PAUSES_NS, 12.0);
             span(
                 "op",
                 "test",
@@ -753,7 +699,7 @@ mod tests {
             );
             instant("mark", "test", VTime::from_nanos(15.0), vec![]);
         });
-        assert_eq!(rep.pvars.counter("a.calls"), 2);
+        assert_eq!(rep.pvars.counter("bind.calls"), 2);
         assert_eq!(rep.events.len(), 2);
         assert_eq!(rep.events[0].name, "op");
         assert_eq!(rep.events[0].dur_ns, Some(20.0));
@@ -768,10 +714,10 @@ mod tests {
     fn tracing_off_still_collects_pvars() {
         let rep = with_recorder(ObsOptions::default(), || {
             assert!(!tracing_enabled());
-            count("a.calls", 1);
+            count(BIND_CALLS, 1);
             span("op", "test", VTime::ZERO, VTime::from_nanos(1.0), vec![]);
         });
-        assert_eq!(rep.pvars.counter("a.calls"), 1);
+        assert_eq!(rep.pvars.counter("bind.calls"), 1);
         assert!(rep.events.is_empty());
     }
 
@@ -798,75 +744,87 @@ mod tests {
 
     #[test]
     fn flight_window_wraps_and_counts_drops() {
-        let rep = with_recorder(
-            ObsOptions {
-                flight: true,
-                flight_capacity: 4,
-                ..Default::default()
-            },
-            || {
-                assert!(tracing_enabled(), "flight alone lights the event gate");
-                for i in 0..10 {
-                    instant("e", "t", VTime::from_nanos(i as f64), vec![]);
-                }
-            },
-        );
-        // Full trace ring never saw the events — only the window did.
+        let rep = with_recorder(ObsOptions::default().with_flight(), || {
+            assert!(tracing_enabled(), "flight alone lights the event gate");
+            for i in 0..FLIGHT_CAPACITY + 6 {
+                instant("e", "t", VTime::from_nanos(i as f64), vec![]);
+            }
+        });
+        // The trace sink is off — only the window reads the ring.
         assert!(rep.events.is_empty());
         assert_eq!(rep.dropped_events, 0);
         let w = rep.flight.expect("flight window drained");
-        assert_eq!(w.events.len(), 4);
+        assert_eq!(w.events.len(), FLIGHT_CAPACITY);
         assert_eq!(w.dropped, 6);
         let ts: Vec<f64> = w.events.iter().map(|e| e.ts_ns).collect();
-        assert_eq!(ts, vec![6.0, 7.0, 8.0, 9.0], "oldest dropped first");
+        let newest: Vec<f64> = (6..FLIGHT_CAPACITY + 6).map(|i| i as f64).collect();
+        assert_eq!(ts, newest, "oldest dropped first");
         assert_eq!(rep.pvars.counter(flight::DROPPED_PVAR), 6);
     }
 
     #[test]
     fn tracing_and_flight_both_record() {
-        let rep = with_recorder(
-            ObsOptions {
-                tracing: true,
-                flight: true,
-                flight_capacity: 2,
-                ..Default::default()
-            },
-            || {
-                for i in 0..5 {
-                    instant("e", "t", VTime::from_nanos(i as f64), vec![]);
-                }
-            },
+        let rep = with_recorder(ObsOptions::traced().with_flight(), || {
+            for i in 0..FLIGHT_CAPACITY + 3 {
+                instant("e", "t", VTime::from_nanos(i as f64), vec![]);
+            }
+        });
+        assert_eq!(
+            rep.events.len(),
+            FLIGHT_CAPACITY + 3,
+            "full ring keeps everything"
         );
-        assert_eq!(rep.events.len(), 5, "full ring keeps everything");
         let w = rep.flight.unwrap();
-        assert_eq!(w.events.len(), 2);
+        assert_eq!(w.events.len(), FLIGHT_CAPACITY);
         assert_eq!(w.dropped, 3);
+        assert_eq!(w.events[0].ts_ns, 3.0, "the window is the newest tail");
         assert_eq!(rep.pvars.counter(flight::DROPPED_PVAR), 3);
         assert_eq!(rep.pvars.counter(DROPPED_EVENTS_PVAR), 0);
+    }
+
+    #[test]
+    fn short_trace_and_flight_window_read_one_ring() {
+        let opts = ObsOptions {
+            ring_capacity: 4,
+            ..ObsOptions::traced()
+        };
+        let rep = with_recorder(opts.with_flight(), || {
+            for i in 0..FLIGHT_CAPACITY + 1 {
+                instant("e", "t", VTime::from_nanos(i as f64), vec![]);
+            }
+        });
+        assert_eq!(rep.events.len(), 4);
+        assert_eq!(rep.events[0].ts_ns, (FLIGHT_CAPACITY - 3) as f64);
+        assert_eq!(rep.dropped_events, FLIGHT_CAPACITY as u64 - 3);
+        let w = rep.flight.unwrap();
+        assert_eq!(w.events.len(), FLIGHT_CAPACITY);
+        assert_eq!(w.dropped, 1);
+        assert_eq!(rep.pvars.counter(DROPPED_EVENTS_PVAR), rep.dropped_events);
+        assert_eq!(rep.pvars.counter(flight::DROPPED_PVAR), 1);
     }
 
     #[test]
     fn telemetry_bins_by_virtual_tick() {
         let rep = with_recorder(ObsOptions::default().with_telemetry(100.0), || {
             telemetry_tick(VTime::from_nanos(10.0));
-            count("a", 1);
+            count(BIND_CALLS, 1);
             telemetry_tick(VTime::from_nanos(250.0));
-            count("a", 2);
+            count(BIND_CALLS, 2);
             link_traffic(0, 1, 64);
         });
         let series = rep.telemetry.expect("sampler drained");
         assert_eq!(series.interval_ns, 100.0);
         assert_eq!(series.samples.len(), 2);
         assert_eq!(series.samples[0].t_ns, 0.0);
-        assert_eq!(series.samples[0].pvars.counter("a"), 1);
+        assert_eq!(series.samples[0].pvars.counter("bind.calls"), 1);
         assert_eq!(series.samples[1].t_ns, 200.0);
-        assert_eq!(series.samples[1].pvars.counter("a"), 2);
+        assert_eq!(series.samples[1].pvars.counter("bind.calls"), 2);
         assert_eq!(
             series.samples[1].pvars.counter("fabric.link.0->1.bytes"),
             64
         );
         // Cumulative pvars see the same totals.
-        assert_eq!(rep.pvars.counter("a"), 3);
+        assert_eq!(rep.pvars.counter("bind.calls"), 3);
         assert_eq!(rep.pvars.counter("fabric.link.0->1.msgs"), 1);
     }
 
@@ -893,7 +851,7 @@ mod tests {
         assert_eq!(m.kind, "transport_failure");
         assert_eq!(m.failed_rank, 1);
         assert_eq!(m.t_ns, 100.0);
-        assert_eq!(rep.pvars.counter(incident::MARKS_PVAR), 2);
+        assert_eq!(rep.pvars.counter("incident.marks"), 2);
         // Marks are visible inside the flight window too.
         let w = rep.flight.unwrap();
         assert_eq!(w.events.iter().filter(|e| e.name == "incident").count(), 2);
@@ -962,10 +920,10 @@ mod tests {
 
     #[test]
     fn pvar_dump_lists_merged_values() {
-        let r0 = with_recorder(ObsOptions::default(), || count("c", 1));
+        let r0 = with_recorder(ObsOptions::default(), || count(BIND_CALLS, 1));
         let r1 = {
             install(1, ObsOptions::default());
-            count("c", 2);
+            count(BIND_CALLS, 2);
             uninstall().unwrap()
         };
         let dump = JobReport {
@@ -980,7 +938,7 @@ mod tests {
     #[test]
     fn gate_resets_after_uninstall() {
         install(0, ObsOptions::traced().with_flight().with_telemetry(10.0));
-        assert!(is_installed());
+        assert_ne!(gate() & GATE_PVARS, 0, "recorder installed");
         assert!(tracing_enabled());
         uninstall();
         assert_eq!(gate() & (GATE_PVARS | GATE_EVENTS | GATE_TELEMETRY), 0);

@@ -3,59 +3,152 @@
 //!
 //! A pvar is a named, typed metric a library layer exports because a tool
 //! might want to read it: protocol decision counters, queue-depth gauges,
-//! pause-time histograms. Names are dotted paths (`pt2pt.eager_msgs`,
-//! `mrt.gc.pauses_ns`); the catalogue lives in the README's
-//! "Observability" section.
+//! pause-time histograms. Every pvar is one line of the static [`TABLE`]:
+//! an id, a dotted name (`pt2pt.eager_msgs`) and a class. As an MPI_T tool
+//! binds a handle once, the recording side names a pvar by its id and
+//! updates a dense slot; names are read back only at dump time. An id's
+//! type carries its class. The README's pvar catalogue documents the
+//! table, and a test keeps the two equal.
 //!
 //! Three classes, mirroring MPI_T's counter / level / aggregate split:
 //!
 //! * **Counter** — monotonically increasing `u64` (events, bytes).
 //! * **Gauge** — instantaneous level; records the last and the high-water
 //!   value (unexpected-queue depth, outstanding pool buffers).
-//! * **Hist** — log2-bucket histogram of `f64` samples (GC pause ns).
+//! * **Hist** — count, mean and max of `f64` samples (GC pause ns).
 //!
-//! Sets support `diff` (interval measurement, like `MPI_T_pvar_read`
-//! before/after a phase) and `merge` (cross-rank aggregation).
+//! Per-directed-link traffic, `fabric.link.{src}->{dst}.{bytes,msgs}`, is
+//! the one family outside the table: a set names a link when it first
+//! sees it.
 
 use std::collections::BTreeMap;
 
-/// Number of log2 buckets: bucket `i` holds samples in `[2^(i-1), 2^i)`
-/// (bucket 0 holds samples `< 1`).
-pub const HIST_BUCKETS: usize = 64;
+/// A pvar's class, fixed by its [`TABLE`] line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Class {
+    Counter,
+    Gauge,
+    Hist,
+}
 
-/// A log2-bucket histogram over non-negative `f64` samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Log2Hist {
-    pub buckets: [u64; HIST_BUCKETS],
+/// One [`TABLE`] line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Desc {
+    pub name: &'static str,
+    pub class: Class,
+}
+
+/// The id of a [`TABLE`] line whose class is `CLASS` (a `Class as u8`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Id<const CLASS: u8>(u8);
+
+pub type CounterId = Id<{ Class::Counter as u8 }>;
+pub type GaugeId = Id<{ Class::Gauge as u8 }>;
+pub type HistId = Id<{ Class::Hist as u8 }>;
+
+impl<const CLASS: u8> Id<CLASS> {
+    /// The pvar's dotted name.
+    pub const fn name(self) -> &'static str {
+        TABLE[self.0 as usize].name
+    }
+}
+
+macro_rules! pvar_table {
+    ($($id:ident = $name:literal, $class:ident;)*) => {
+        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        #[repr(u8)]
+        enum Line {
+            $($id,)*
+        }
+        $(
+            #[doc = concat!("`", $name, "`")]
+            pub const $id: Id<{ Class::$class as u8 }> = Id(Line::$id as u8);
+        )*
+        /// Every pvar, sorted by name; an id is the index of its line.
+        pub const TABLE: &[Desc] = &[$(Desc { name: $name, class: Class::$class },)*];
+    };
+}
+
+pvar_table! {
+    BIND_CALLS                             = "bind.calls", Counter;
+    COLL_ALLREDUCE_ALGO_RABENSEIFNER       = "coll.allreduce.algo.rabenseifner", Counter;
+    COLL_ALLREDUCE_ALGO_RECURSIVE_DOUBLING = "coll.allreduce.algo.recursive_doubling", Counter;
+    COLL_ALLREDUCE_ALGO_RING               = "coll.allreduce.algo.ring", Counter;
+    COLL_ALLREDUCE_ALGO_TWO_LEVEL          = "coll.allreduce.algo.two_level", Counter;
+    COLL_BCAST_ALGO_BINOMIAL               = "coll.bcast.algo.binomial", Counter;
+    COLL_BCAST_ALGO_BINOMIAL_SEGMENTED     = "coll.bcast.algo.binomial_segmented", Counter;
+    COLL_BCAST_ALGO_SCATTER_ALLGATHER      = "coll.bcast.algo.scatter_allgather", Counter;
+    COLL_BCAST_ALGO_TWO_LEVEL              = "coll.bcast.algo.two_level", Counter;
+    COLL_NB_BYTES                          = "coll.nb.bytes", Counter;
+    COLL_NB_COMPLETED                      = "coll.nb.completed", Counter;
+    COLL_NB_POSTED                         = "coll.nb.posted", Counter;
+    COLL_NB_RECVS                          = "coll.nb.recvs", Counter;
+    COLL_NB_REDUCE_BYTES                   = "coll.nb.reduce_bytes", Counter;
+    COLL_NB_ROUNDS                         = "coll.nb.rounds", Counter;
+    COLL_NB_SENDS                          = "coll.nb.sends", Counter;
+    ENGINE_DELIVERIES                      = "engine.deliveries", Counter;
+    FABRIC_ACKS                            = "fabric.acks", Counter;
+    FABRIC_CORRUPT_DETECTED                = "fabric.corrupt_detected", Counter;
+    FABRIC_DROPS_INJECTED                  = "fabric.drops_injected", Counter;
+    FABRIC_DUPS_SUPPRESSED                 = "fabric.dups_suppressed", Counter;
+    FABRIC_RETRANSMITS                     = "fabric.retransmits", Counter;
+    FABRIC_WATCHDOG_TRIPS                  = "fabric.watchdog_trips", Counter;
+    FLIGHT_DROPPED                         = "flight.dropped", Counter;
+    INCIDENT_MARKS                         = "incident.marks", Counter;
+    MPJBUF_POOL_FALLBACK_ALLOCS            = "mpjbuf.pool.fallback_allocs", Counter;
+    MPJBUF_POOL_HITS                       = "mpjbuf.pool.hits", Counter;
+    MPJBUF_POOL_MISSES                     = "mpjbuf.pool.misses", Counter;
+    MPJBUF_POOL_OUTSTANDING                = "mpjbuf.pool.outstanding", Gauge;
+    MPJBUF_POOL_RELEASES                   = "mpjbuf.pool.releases", Counter;
+    MRT_GC_BYTES_COPIED                    = "mrt.gc.bytes_copied", Counter;
+    MRT_GC_COLLECTIONS                     = "mrt.gc.collections", Counter;
+    MRT_GC_PAUSES_NS                       = "mrt.gc.pauses_ns", Hist;
+    MRT_HEAP_ALLOC_BYTES                   = "mrt.heap.alloc_bytes", Counter;
+    MRT_HEAP_ALLOCS                        = "mrt.heap.allocs", Counter;
+    NIF_CROSSINGS_COPY                     = "nif.crossings.copy", Counter;
+    NIF_CROSSINGS_CRITICAL                 = "nif.crossings.critical", Counter;
+    NIF_CROSSINGS_DIRECT                   = "nif.crossings.direct", Counter;
+    NIF_TRANSITIONS                        = "nif.transitions", Counter;
+    PT2PT_EAGER_BYTES                      = "pt2pt.eager_bytes", Counter;
+    PT2PT_EAGER_MSGS                       = "pt2pt.eager_msgs", Counter;
+    PT2PT_MATCH_MAXDEPTH                   = "pt2pt.match.maxdepth", Gauge;
+    PT2PT_MATCH_SCANS                      = "pt2pt.match.scans", Counter;
+    PT2PT_RNDV_BYTES                       = "pt2pt.rndv_bytes", Counter;
+    PT2PT_RNDV_MSGS                        = "pt2pt.rndv_msgs", Counter;
+    PT2PT_UNEXPECTED_DEPTH                 = "pt2pt.unexpected_depth", Gauge;
+    PT2PT_UNEXPECTED_HITS                  = "pt2pt.unexpected_hits", Counter;
+    RELIABILITY_BACKOFF_NS                 = "reliability.backoff_ns", Counter;
+    RMA_ACC_APPLIED                        = "rma.acc.applied", Counter;
+    RMA_ACC_BYTES                          = "rma.acc.bytes", Counter;
+    RMA_ACC_MSGS                           = "rma.acc.msgs", Counter;
+    RMA_EPOCH_DEFERRED                     = "rma.epoch.deferred", Counter;
+    RMA_FENCE_EPOCHS                       = "rma.fence.epochs", Counter;
+    RMA_GET_BYTES                          = "rma.get.bytes", Counter;
+    RMA_GET_MSGS                           = "rma.get.msgs", Counter;
+    RMA_LOCK_ACQUIRED                      = "rma.lock.acquired", Counter;
+    RMA_PUT_APPLIED                        = "rma.put.applied", Counter;
+    RMA_PUT_BYTES                          = "rma.put.bytes", Counter;
+    RMA_PUT_EAGER                          = "rma.put.eager", Counter;
+    RMA_PUT_MSGS                           = "rma.put.msgs", Counter;
+    RMA_PUT_ZCOPY                          = "rma.put.zcopy", Counter;
+    RMA_REG_EVICT                          = "rma.reg.evict", Counter;
+    RMA_REG_HIT                            = "rma.reg.hit", Counter;
+    RMA_REG_MISS                           = "rma.reg.miss", Counter;
+    RMA_WIN_CREATED                        = "rma.win.created", Counter;
+    TRACE_DROPPED_EVENTS                   = "trace.dropped_events", Counter;
+}
+
+/// Summary of a histogram pvar's non-negative `f64` samples.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Hist {
     pub count: u64,
     pub sum: f64,
     pub max: f64,
 }
 
-impl Default for Log2Hist {
-    fn default() -> Self {
-        Log2Hist {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0.0,
-            max: 0.0,
-        }
-    }
-}
-
-/// Bucket index for a sample (negative samples clamp to bucket 0).
-pub fn bucket_of(v: f64) -> usize {
-    if v < 1.0 {
-        return 0;
-    }
-    let n = v as u64;
-    ((64 - n.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-}
-
-impl Log2Hist {
+impl Hist {
     /// Record one sample.
     pub fn observe(&mut self, v: f64) {
-        self.buckets[bucket_of(v)] += 1;
         self.count += 1;
         self.sum += v;
         if v > self.max {
@@ -72,11 +165,8 @@ impl Log2Hist {
         }
     }
 
-    /// Bucket-wise accumulate `other` into `self`.
-    pub fn merge(&mut self, other: &Log2Hist) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
+    /// Accumulate `other` into `self`.
+    pub fn merge(&mut self, other: &Hist) {
         self.count += other.count;
         self.sum += other.sum;
         if other.max > self.max {
@@ -90,7 +180,7 @@ impl Log2Hist {
 pub enum PvarValue {
     Counter(u64),
     Gauge { last: i64, max: i64 },
-    Hist(Log2Hist),
+    Hist(Hist),
 }
 
 impl PvarValue {
@@ -109,21 +199,42 @@ impl PvarValue {
             _ => None,
         }
     }
+}
 
-    /// Histogram, if this is one.
-    pub fn as_hist(&self) -> Option<&Log2Hist> {
-        match self {
-            PvarValue::Hist(h) => Some(h),
-            _ => None,
+/// Cross-rank aggregation of one slot: counters add, gauges keep the max
+/// level, histograms combine; an empty slot takes `v`.
+fn merge_slot(slot: &mut Option<PvarValue>, v: Option<&PvarValue>) {
+    match (slot.as_mut(), v) {
+        (_, None) => {}
+        (Some(PvarValue::Counter(a)), Some(PvarValue::Counter(b))) => *a += b,
+        (Some(PvarValue::Gauge { last, max }), Some(PvarValue::Gauge { last: bl, max: bm })) => {
+            *last = (*last).max(*bl);
+            *max = (*max).max(*bm);
         }
+        (Some(PvarValue::Hist(a)), Some(PvarValue::Hist(b))) => a.merge(b),
+        (_, Some(v)) => *slot = Some(v.clone()),
     }
 }
 
-/// A named set of pvars. `BTreeMap` keeps iteration (and therefore every
-/// dump/export) in deterministic name order.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A link's `bytes` and `msgs` pvars with their rendered names.
+type Link = [(String, Option<PvarValue>); 2];
+
+/// A set of pvar values: one dense slot per [`TABLE`] line, empty until
+/// first touched, plus the links seen, keyed by `(src, dst)`. Iteration
+/// (and therefore every dump/export) is in name order.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PvarSet {
-    vars: BTreeMap<String, PvarValue>,
+    slots: Box<[Option<PvarValue>]>,
+    links: BTreeMap<(usize, usize), Link>,
+}
+
+impl Default for PvarSet {
+    fn default() -> Self {
+        PvarSet {
+            slots: vec![None; TABLE.len()].into_boxed_slice(),
+            links: BTreeMap::new(),
+        }
+    }
 }
 
 impl PvarSet {
@@ -131,49 +242,52 @@ impl PvarSet {
         Self::default()
     }
 
-    /// Bump a counter by `n` (registers it at 0 on first touch).
-    pub fn count(&mut self, name: &str, n: u64) {
-        match self.vars.get_mut(name) {
-            Some(PvarValue::Counter(c)) => *c += n,
-            Some(other) => panic!("pvar {name:?} is not a counter: {other:?}"),
-            None => {
-                self.vars.insert(name.to_string(), PvarValue::Counter(n));
-            }
-        }
+    /// Bump a counter by `n`.
+    pub(crate) fn count(&mut self, id: CounterId, n: u64) {
+        merge_slot(&mut self.slots[id.0 as usize], Some(&PvarValue::Counter(n)));
     }
 
     /// Set a gauge's level (high-water mark is kept automatically).
-    pub fn gauge_set(&mut self, name: &str, v: i64) {
-        match self.vars.get_mut(name) {
+    pub(crate) fn gauge_set(&mut self, id: GaugeId, v: i64) {
+        match &mut self.slots[id.0 as usize] {
             Some(PvarValue::Gauge { last, max }) => {
                 *last = v;
-                if v > *max {
-                    *max = v;
-                }
+                *max = (*max).max(v);
             }
-            Some(other) => panic!("pvar {name:?} is not a gauge: {other:?}"),
-            None => {
-                self.vars
-                    .insert(name.to_string(), PvarValue::Gauge { last: v, max: v });
-            }
+            slot => *slot = Some(PvarValue::Gauge { last: v, max: v }),
         }
     }
 
     /// Record a histogram sample.
-    pub fn observe(&mut self, name: &str, v: f64) {
-        match self.vars.get_mut(name) {
-            Some(PvarValue::Hist(h)) => h.observe(v),
-            Some(other) => panic!("pvar {name:?} is not a histogram: {other:?}"),
-            None => {
-                let mut h = Log2Hist::default();
-                h.observe(v);
-                self.vars.insert(name.to_string(), PvarValue::Hist(h));
-            }
+    pub(crate) fn observe(&mut self, id: HistId, v: f64) {
+        let mut h = Hist::default();
+        h.observe(v);
+        merge_slot(&mut self.slots[id.0 as usize], Some(&PvarValue::Hist(h)));
+    }
+
+    /// Account one message of `bytes` on the directed link `src -> dst`.
+    pub(crate) fn link_traffic(&mut self, src: usize, dst: usize, bytes: u64) {
+        let link = self.links.entry((src, dst)).or_insert_with(|| {
+            ["bytes", "msgs"].map(|k| (format!("fabric.link.{src}->{dst}.{k}"), None))
+        });
+        for ((_, slot), n) in link.iter_mut().zip([bytes, 1]) {
+            merge_slot(slot, Some(&PvarValue::Counter(n)));
         }
     }
 
+    /// Every touched pvar, unordered.
+    fn entries(&self) -> impl Iterator<Item = (&str, &PvarValue)> {
+        let links = self.links.values().flatten();
+        TABLE
+            .iter()
+            .map(|d| d.name)
+            .zip(self.slots.iter())
+            .chain(links.map(|(name, v)| (name.as_str(), v)))
+            .filter_map(|(name, v)| Some((name, v.as_ref()?)))
+    }
+
     pub fn get(&self, name: &str) -> Option<&PvarValue> {
-        self.vars.get(name)
+        self.entries().find(|&(n, _)| n == name).map(|(_, v)| v)
     }
 
     /// Counter value by name (0 if never touched).
@@ -181,44 +295,33 @@ impl PvarSet {
         self.get(name).and_then(PvarValue::as_counter).unwrap_or(0)
     }
 
+    /// Every touched pvar, in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &PvarValue)> {
-        self.vars.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    pub fn len(&self) -> usize {
-        self.vars.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
+        let mut all: Vec<_> = self.entries().collect();
+        all.sort_unstable_by_key(|&(name, _)| name);
+        all.into_iter()
     }
 
     /// Cross-rank aggregation: counters add, gauges keep the max level,
-    /// histograms merge bucket-wise. A name present in only one set is
-    /// carried over unchanged.
+    /// histograms combine. A pvar present in only one set is carried over
+    /// unchanged.
     pub fn merge(&mut self, other: &PvarSet) {
-        for (name, ov) in &other.vars {
-            match (self.vars.get_mut(name), ov) {
-                (Some(PvarValue::Counter(a)), PvarValue::Counter(b)) => *a += b,
-                (Some(PvarValue::Gauge { last, max }), PvarValue::Gauge { last: bl, max: bm }) => {
-                    *last = (*last).max(*bl);
-                    *max = (*max).max(*bm);
-                }
-                (Some(PvarValue::Hist(a)), PvarValue::Hist(b)) => a.merge(b),
-                (Some(mine), theirs) => {
-                    panic!("pvar {name:?} type mismatch in merge: {mine:?} vs {theirs:?}")
-                }
-                (None, v) => {
-                    self.vars.insert(name.clone(), v.clone());
-                }
+        for (slot, v) in self.slots.iter_mut().zip(other.slots.iter()) {
+            merge_slot(slot, v.as_ref());
+        }
+        for (key, theirs) in &other.links {
+            let mine = self
+                .links
+                .entry(*key)
+                .or_insert_with(|| theirs.clone().map(|(name, _)| (name, None)));
+            for ((_, slot), (_, v)) in mine.iter_mut().zip(theirs) {
+                merge_slot(slot, v.as_ref());
             }
         }
     }
 
     /// Serialize as a JSON object: counters as numbers, gauges as
-    /// `{"last","max"}`, histograms as `{"count","mean","max"}` (the
-    /// bucket array is an internal detail; summary stats are what the
-    /// analyzers read).
+    /// `{"last","max"}`, histograms as `{"count","mean","max"}`.
     pub fn write_json(&self, w: &mut crate::json::JsonBuf) {
         w.begin_obj();
         for (name, v) in self.iter() {
@@ -247,33 +350,6 @@ impl PvarSet {
         }
         w.end_obj();
     }
-
-    /// Interval measurement: what happened since `earlier` was captured.
-    /// Counters and histogram counts subtract (saturating); gauges keep
-    /// the later reading as-is.
-    pub fn diff(&self, earlier: &PvarSet) -> PvarSet {
-        let mut out = PvarSet::new();
-        for (name, now) in &self.vars {
-            let then = earlier.vars.get(name);
-            let v = match (now, then) {
-                (PvarValue::Counter(a), Some(PvarValue::Counter(b))) => {
-                    PvarValue::Counter(a.saturating_sub(*b))
-                }
-                (PvarValue::Hist(a), Some(PvarValue::Hist(b))) => {
-                    let mut h = a.clone();
-                    for (x, y) in h.buckets.iter_mut().zip(b.buckets.iter()) {
-                        *x = x.saturating_sub(*y);
-                    }
-                    h.count = a.count.saturating_sub(b.count);
-                    h.sum = (a.sum - b.sum).max(0.0);
-                    PvarValue::Hist(h)
-                }
-                (v, _) => v.clone(),
-            };
-            out.vars.insert(name.clone(), v);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -281,133 +357,191 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_register_lazily() {
+    fn table_is_sorted_by_name() {
+        for pair in TABLE.windows(2) {
+            assert!(pair[0].name < pair[1].name, "{pair:?}");
+        }
+        assert_eq!(PT2PT_EAGER_MSGS.name(), "pt2pt.eager_msgs");
+        assert_eq!(TABLE[MRT_GC_PAUSES_NS.0 as usize].class, Class::Hist);
+    }
+
+    /// Expand a README catalogue cell such as
+    /// `` `a.{x,y}` / `a.z` `` into its dotted names.
+    fn expand(cell: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for quoted in cell.split('`').skip(1).step_by(2) {
+            let mut names = vec![String::new()];
+            let mut rest = quoted;
+            while let Some(open) = rest.find('{') {
+                let close = rest[open..].find('}').expect("closing brace") + open;
+                names = names
+                    .iter()
+                    .flat_map(|n| {
+                        rest[open + 1..close]
+                            .split(',')
+                            .map(move |alt| format!("{n}{}{alt}", &rest[..open]))
+                    })
+                    .collect();
+                rest = &rest[close + 1..];
+            }
+            out.extend(names.into_iter().map(|n| n + rest));
+        }
+        out
+    }
+
+    #[test]
+    fn readme_catalogue_matches_the_table() {
+        let readme =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+                .expect("README.md at the workspace root");
+        let section = readme
+            .split("### Pvar catalogue")
+            .nth(1)
+            .expect("README has a pvar catalogue")
+            .split("\n#")
+            .next()
+            .unwrap();
+        let mut documented: Vec<(String, Class)> = Vec::new();
+        for row in section.lines().filter(|l| l.starts_with("| `")) {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let class = match cells[2] {
+                "counter" => Class::Counter,
+                "gauge" => Class::Gauge,
+                "histogram" => Class::Hist,
+                other => panic!("unknown pvar kind {other:?} in {row:?}"),
+            };
+            for name in expand(cells[1]) {
+                // The per-link family is rendered per rank pair, not tabled.
+                if name.starts_with("fabric.link.src->dst.") {
+                    assert_eq!(class, Class::Counter);
+                    continue;
+                }
+                documented.push((name, class));
+            }
+        }
+        documented.sort();
+        let tabled: Vec<(String, Class)> = TABLE
+            .iter()
+            .map(|d| (d.name.to_string(), d.class))
+            .collect();
+        assert_eq!(documented, tabled, "README pvar catalogue and TABLE differ");
+    }
+
+    #[test]
+    fn counters_accumulate_from_first_touch() {
         let mut p = PvarSet::new();
         assert_eq!(p.counter("pt2pt.eager_msgs"), 0);
-        p.count("pt2pt.eager_msgs", 1);
-        p.count("pt2pt.eager_msgs", 3);
+        assert!(p.get("pt2pt.eager_msgs").is_none());
+        p.count(PT2PT_EAGER_MSGS, 1);
+        p.count(PT2PT_EAGER_MSGS, 3);
         assert_eq!(p.counter("pt2pt.eager_msgs"), 4);
     }
 
     #[test]
     fn gauges_track_last_and_high_water() {
         let mut p = PvarSet::new();
-        p.gauge_set("q.depth", 2);
-        p.gauge_set("q.depth", 7);
-        p.gauge_set("q.depth", 1);
+        p.gauge_set(PT2PT_UNEXPECTED_DEPTH, 2);
+        p.gauge_set(PT2PT_UNEXPECTED_DEPTH, 7);
+        p.gauge_set(PT2PT_UNEXPECTED_DEPTH, 1);
         assert_eq!(
-            p.get("q.depth"),
+            p.get("pt2pt.unexpected_depth"),
             Some(&PvarValue::Gauge { last: 1, max: 7 })
         );
     }
 
     #[test]
-    fn hist_buckets_are_log2() {
-        assert_eq!(bucket_of(0.0), 0);
-        assert_eq!(bucket_of(0.9), 0);
-        assert_eq!(bucket_of(1.0), 1);
-        assert_eq!(bucket_of(1.5), 1);
-        assert_eq!(bucket_of(2.0), 2);
-        assert_eq!(bucket_of(3.0), 2);
-        assert_eq!(bucket_of(4.0), 3);
-        assert_eq!(bucket_of(1024.0), 11);
-        assert_eq!(bucket_of(f64::MAX), HIST_BUCKETS - 1);
-    }
-
-    #[test]
     fn hist_stats() {
-        let mut h = Log2Hist::default();
+        let mut h = Hist::default();
         for v in [1.0, 2.0, 3.0, 10.0] {
             h.observe(v);
         }
         assert_eq!(h.count, 4);
         assert_eq!(h.mean(), 4.0);
         assert_eq!(h.max, 10.0);
-        assert_eq!(h.buckets[1], 1); // 1.0
-        assert_eq!(h.buckets[2], 2); // 2.0, 3.0
-        assert_eq!(h.buckets[4], 1); // 10.0
     }
 
     #[test]
     fn merge_semantics_per_class() {
         let mut a = PvarSet::new();
-        a.count("c", 5);
-        a.gauge_set("g", 3);
-        a.observe("h", 2.0);
+        a.count(BIND_CALLS, 5);
+        a.gauge_set(MPJBUF_POOL_OUTSTANDING, 3);
+        a.observe(MRT_GC_PAUSES_NS, 2.0);
         let mut b = PvarSet::new();
-        b.count("c", 7);
-        b.gauge_set("g", 9);
-        b.observe("h", 8.0);
-        b.count("only_b", 1);
+        b.count(BIND_CALLS, 7);
+        b.gauge_set(MPJBUF_POOL_OUTSTANDING, 9);
+        b.observe(MRT_GC_PAUSES_NS, 8.0);
+        b.count(NIF_TRANSITIONS, 1);
+        b.link_traffic(1, 0, 64);
         a.merge(&b);
-        assert_eq!(a.counter("c"), 12);
-        assert_eq!(a.get("g").unwrap().as_gauge_max(), Some(9));
-        let h = a.get("h").unwrap().as_hist().unwrap();
+        assert_eq!(a.counter("bind.calls"), 12);
+        assert_eq!(
+            a.get("mpjbuf.pool.outstanding").unwrap().as_gauge_max(),
+            Some(9)
+        );
+        let Some(PvarValue::Hist(h)) = a.get("mrt.gc.pauses_ns") else {
+            panic!("mrt.gc.pauses_ns is a histogram");
+        };
         assert_eq!(h.count, 2);
         assert_eq!(h.max, 8.0);
-        assert_eq!(a.counter("only_b"), 1);
+        assert_eq!(a.counter("nif.transitions"), 1);
+        assert_eq!(a.counter("fabric.link.1->0.bytes"), 64);
     }
 
     #[test]
     fn merge_is_commutative_on_counters_and_hists() {
         let mut a = PvarSet::new();
-        a.count("c", 5);
-        a.observe("h", 4.0);
+        a.count(BIND_CALLS, 5);
+        a.observe(MRT_GC_PAUSES_NS, 4.0);
+        a.link_traffic(0, 1, 8);
         let mut b = PvarSet::new();
-        b.count("c", 2);
-        b.observe("h", 100.0);
+        b.count(BIND_CALLS, 2);
+        b.observe(MRT_GC_PAUSES_NS, 100.0);
+        b.link_traffic(0, 1, 16);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn diff_subtracts_counters_and_hist_counts() {
-        let mut before = PvarSet::new();
-        before.count("c", 10);
-        before.observe("h", 1.0);
-        let mut after = before.clone();
-        after.count("c", 5);
-        after.observe("h", 2.0);
-        after.gauge_set("g", 4);
-        let d = after.diff(&before);
-        assert_eq!(d.counter("c"), 5);
-        assert_eq!(d.get("h").unwrap().as_hist().unwrap().count, 1);
-        assert_eq!(d.get("g").unwrap().as_gauge_max(), Some(4));
+        assert_eq!(ab.counter("fabric.link.0->1.msgs"), 2);
     }
 
     #[test]
     fn iteration_is_name_ordered() {
         let mut p = PvarSet::new();
-        p.count("z", 1);
-        p.count("a", 1);
-        p.count("m", 1);
+        p.count(TRACE_DROPPED_EVENTS, 1);
+        p.count(BIND_CALLS, 1);
+        p.count(FABRIC_RETRANSMITS, 1);
+        p.link_traffic(10, 2, 1);
+        p.link_traffic(1, 0, 1);
+        p.count(FABRIC_DUPS_SUPPRESSED, 1);
         let names: Vec<&str> = p.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["a", "m", "z"]);
+        assert_eq!(
+            names,
+            vec![
+                "bind.calls",
+                "fabric.dups_suppressed",
+                "fabric.link.1->0.bytes",
+                "fabric.link.1->0.msgs",
+                "fabric.link.10->2.bytes",
+                "fabric.link.10->2.msgs",
+                "fabric.retransmits",
+                "trace.dropped_events",
+            ]
+        );
     }
 
     #[test]
     fn json_export_covers_all_classes() {
         let mut p = PvarSet::new();
-        p.count("c", 3);
-        p.gauge_set("g", -2);
-        p.gauge_set("g", 5);
-        p.observe("h", 4.0);
+        p.count(BIND_CALLS, 3);
+        p.gauge_set(MPJBUF_POOL_OUTSTANDING, -2);
+        p.gauge_set(MPJBUF_POOL_OUTSTANDING, 5);
+        p.observe(MRT_GC_PAUSES_NS, 4.0);
         let mut w = crate::json::JsonBuf::new();
         p.write_json(&mut w);
         let s = w.finish();
-        assert!(s.contains(r#""c":3"#));
-        assert!(s.contains(r#""g":{"last":5,"max":5}"#));
-        assert!(s.contains(r#""h":{"count":1,"mean":4,"max":4}"#));
-    }
-
-    #[test]
-    #[should_panic(expected = "is not a counter")]
-    fn type_confusion_panics() {
-        let mut p = PvarSet::new();
-        p.gauge_set("x", 1);
-        p.count("x", 1);
+        assert!(s.contains(r#""bind.calls":3"#));
+        assert!(s.contains(r#""mpjbuf.pool.outstanding":{"last":5,"max":5}"#));
+        assert!(s.contains(r#""mrt.gc.pauses_ns":{"count":1,"mean":4,"max":4}"#));
     }
 }

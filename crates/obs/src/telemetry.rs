@@ -69,21 +69,10 @@ impl Sampler {
         self.cur = (t_ns / self.interval_ns) as u64;
     }
 
+    /// The pvar set of the current interval.
     #[inline]
-    fn bin(&mut self) -> &mut PvarSet {
+    pub(crate) fn bin(&mut self) -> &mut PvarSet {
         self.bins.entry(self.cur).or_default()
-    }
-
-    pub(crate) fn count(&mut self, name: &str, n: u64) {
-        self.bin().count(name, n);
-    }
-
-    pub(crate) fn gauge_set(&mut self, name: &str, v: i64) {
-        self.bin().gauge_set(name, v);
-    }
-
-    pub(crate) fn observe(&mut self, name: &str, v: f64) {
-        self.bin().observe(name, v);
     }
 
     /// Close the series: time-ordered samples stamped with interval
@@ -200,35 +189,37 @@ pub fn series_counter_total(ranks: &[RankReport], name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pvar::{CounterId, BIND_CALLS, NIF_TRANSITIONS};
 
     #[test]
     fn binning_is_order_independent_for_counters() {
-        let run = |order: &[(f64, &str)]| {
+        let run = |order: &[(f64, CounterId)]| {
             let mut s = Sampler::new(100.0);
-            for (t, name) in order {
-                s.tick(*t);
-                s.count(name, 1);
+            for &(t, id) in order {
+                s.tick(t);
+                s.bin().count(id, 1);
             }
             s.into_series()
         };
-        let a = run(&[(50.0, "x"), (250.0, "y"), (130.0, "x")]);
-        let b = run(&[(130.0, "x"), (50.0, "x"), (250.0, "y")]);
+        let (x, y) = (BIND_CALLS, NIF_TRANSITIONS);
+        let a = run(&[(50.0, x), (250.0, y), (130.0, x)]);
+        let b = run(&[(130.0, x), (50.0, x), (250.0, y)]);
         assert_eq!(a, b, "interval sums must not depend on pop order");
         assert_eq!(a.samples.len(), 3);
         assert_eq!(a.samples[0].t_ns, 0.0);
         assert_eq!(a.samples[1].t_ns, 100.0);
-        assert_eq!(a.samples[1].pvars.counter("x"), 1);
+        assert_eq!(a.samples[1].pvars.counter(x.name()), 1);
         assert_eq!(a.samples[2].t_ns, 200.0);
-        assert_eq!(a.samples[2].pvars.counter("y"), 1);
+        assert_eq!(a.samples[2].pvars.counter(y.name()), 1);
     }
 
     #[test]
     fn series_is_sparse() {
         let mut s = Sampler::new(10.0);
         s.tick(5.0);
-        s.count("a", 1);
+        s.bin().count(BIND_CALLS, 1);
         s.tick(1_000_005.0);
-        s.count("a", 2);
+        s.bin().count(BIND_CALLS, 2);
         let series = s.into_series();
         assert_eq!(series.samples.len(), 2, "quiet intervals are absent");
         assert_eq!(series.samples[1].t_ns, 1_000_000.0);
@@ -238,7 +229,7 @@ mod tests {
     fn zero_interval_is_clamped() {
         let mut s = Sampler::new(0.0);
         s.tick(123.0);
-        s.count("a", 1);
+        s.bin().count(BIND_CALLS, 1);
         assert_eq!(s.into_series().samples.len(), 1);
     }
 }

@@ -3,8 +3,10 @@
 //! Events are stamped with the owning rank's *virtual* clock — reading a
 //! clock never advances it, so tracing is invisible to the simulation.
 //! Events accumulate in a bounded ring: when it fills, the oldest events
-//! are dropped (and counted), so a long run's trace holds its tail — the
-//! part a user debugging a slow benchmark iteration actually wants.
+//! are dropped, so a long run's trace holds its tail — the part a user
+//! debugging a slow benchmark iteration actually wants. The ring counts
+//! every push, so each sink reading a tail of it (the trace, the flight
+//! window) knows how many events it lost.
 
 use std::collections::VecDeque;
 
@@ -112,7 +114,7 @@ impl TraceEvent {
 pub struct TraceRing {
     capacity: usize,
     buf: VecDeque<TraceEvent>,
-    dropped: u64,
+    pushed: u64,
 }
 
 impl TraceRing {
@@ -121,38 +123,27 @@ impl TraceRing {
         TraceRing {
             capacity,
             buf: VecDeque::new(),
-            dropped: 0,
+            pushed: 0,
         }
     }
 
-    /// Push an event; returns `true` when an older event was evicted to
-    /// make room (so the caller can account the drop as a pvar).
-    pub fn push(&mut self, ev: TraceEvent) -> bool {
-        let evicted = self.buf.len() == self.capacity;
-        if evicted {
+    /// Push an event, evicting the oldest when the ring is full.
+    pub fn push(&mut self, ev: TraceEvent) {
+        if self.buf.len() == self.capacity {
             self.buf.pop_front();
-            self.dropped += 1;
         }
         self.buf.push_back(ev);
-        evicted
+        self.pushed += 1;
     }
 
-    pub fn len(&self) -> usize {
-        self.buf.len()
+    /// Events pushed so far, evicted ones included.
+    pub fn pushed(&self) -> u64 {
+        self.pushed
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events evicted to make room so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drain into `(events_oldest_first, dropped_count)`.
-    pub fn into_events(self) -> (Vec<TraceEvent>, u64) {
-        (self.buf.into_iter().collect(), self.dropped)
+    /// Drain into the held events, oldest first.
+    pub fn into_events(self) -> Vec<TraceEvent> {
+        self.buf.into()
     }
 }
 
@@ -175,10 +166,8 @@ mod tests {
         for i in 0..5 {
             r.push(ev(i));
         }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
-        let (evs, dropped) = r.into_events();
-        assert_eq!(dropped, 2);
+        assert_eq!(r.pushed(), 5);
+        let evs = r.into_events();
         let ts: Vec<f64> = evs.iter().map(|e| e.ts_ns).collect();
         assert_eq!(ts, vec![2.0, 3.0, 4.0]);
     }
@@ -188,16 +177,8 @@ mod tests {
         let mut r = TraceRing::new(0);
         r.push(ev(1));
         r.push(ev(2));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.dropped(), 1);
-    }
-
-    #[test]
-    fn push_reports_eviction() {
-        let mut r = TraceRing::new(2);
-        assert!(!r.push(ev(0)));
-        assert!(!r.push(ev(1)));
-        assert!(r.push(ev(2)));
+        assert_eq!(r.pushed(), 2);
+        assert_eq!(r.into_events().len(), 1);
     }
 
     #[test]

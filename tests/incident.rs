@@ -106,7 +106,7 @@ fn flight_ring_wraps_and_accounts_every_eviction() {
     series.expect("latency runs");
     for r in &report.ranks {
         let w = r.flight.as_ref().expect("flight was on for every rank");
-        assert_eq!(w.events.len(), obs::DEFAULT_FLIGHT_CAPACITY);
+        assert_eq!(w.events.len(), obs::FLIGHT_CAPACITY);
         assert!(w.dropped > 0, "a full sweep must overflow the window");
         assert_eq!(
             r.pvars.counter(obs::flight::DROPPED_PVAR),

@@ -112,7 +112,7 @@ fn disabled_profiling_and_obs_paths_stay_cheap() {
     const N: u64 = 100_000;
     let start = std::time::Instant::now();
     for i in 0..N {
-        obs::count("disabled.counter", 1);
+        obs::count(obs::pvar::BIND_CALLS, 1);
         obs::wallprof::add(obs::wallprof::Counter::Deliveries, 1);
         let _s = obs::wallprof::span(obs::wallprof::Subsystem::Engine);
         std::hint::black_box(i);
