@@ -201,8 +201,8 @@ impl PvarValue {
     }
 }
 
-/// Cross-rank aggregation of one slot: counters add, gauges keep the max
-/// level, histograms combine; an empty slot takes `v`.
+/// Fold `v` into a slot (an update or a cross-rank merge): counters add,
+/// gauges keep the max level, histograms combine; an empty slot takes `v`.
 fn merge_slot(slot: &mut Option<PvarValue>, v: Option<&PvarValue>) {
     match (slot.as_mut(), v) {
         (_, None) => {}
