@@ -400,11 +400,17 @@ impl SimPerf {
         t.counter(Counter::Allocs) as f64 / msgs as f64
     }
 
-    /// Share of the ranks' summed thread lifetime spent (exclusively) in
-    /// subsystem `i`; the remainder is "other/idle" (app code, thread
-    /// parking).
+    /// Share of the job's wall time spent (exclusively) in subsystem
+    /// `i`; the remainder is "other/idle" (app code, thread parking).
+    /// The whole is the job wall on the event engine, where one rank
+    /// runs at a time, and the ranks' summed thread lifetime on the
+    /// threaded engine, where they run side by side.
     pub fn subsystem_share_pct(&self, i: usize) -> f64 {
-        let busy_base: u64 = self.ranks.iter().map(|r| r.prof.wall_ns).sum();
+        let busy_base: u64 = if self.engine == "event" {
+            self.wall_ns
+        } else {
+            self.ranks.iter().map(|r| r.prof.wall_ns).sum()
+        };
         if busy_base == 0 {
             return 0.0;
         }
@@ -607,6 +613,33 @@ mod tests {
         let v = crate::json::parse(&j).expect("sim_perf json parses");
         assert_eq!(v.get("events").and_then(|e| e.as_f64()), Some(1000.0));
         assert!(v.get("subsystems").and_then(|s| s.as_arr()).is_some());
+    }
+
+    #[test]
+    fn share_denominator_follows_the_engine() {
+        // Four ranks, each alive for the whole 1 ms job, with 250 us of
+        // engine time between them.
+        let ranks: Vec<RankPerf> = (0..4)
+            .map(|rank| {
+                let mut prof = RankWallProf {
+                    wall_ns: 1_000_000,
+                    ..Default::default()
+                };
+                prof.subs_ns[Subsystem::Engine as usize] = 62_500;
+                RankPerf {
+                    rank,
+                    virtual_ns: 0.0,
+                    prof,
+                }
+            })
+            .collect();
+        let engine = Subsystem::Engine as usize;
+        // One rank runs at a time: the job wall is the whole.
+        let event = SimPerf::from_ranks_on("event", 1_000_000, ranks.clone());
+        assert!((event.subsystem_share_pct(engine) - 25.0).abs() < 1e-9);
+        // Ranks run side by side: their summed lifetimes are the whole.
+        let threaded = SimPerf::from_ranks_on("threaded", 1_000_000, ranks);
+        assert!((threaded.subsystem_share_pct(engine) - 6.25).abs() < 1e-9);
     }
 
     #[test]

@@ -171,10 +171,9 @@ impl<M> Endpoint<M> {
     /// a fault plan that is the crash model (the message silently
     /// disappears); without one it is a wiring bug. Under the event
     /// engine the delivery enters the shared event queue keyed by its
-    /// arrival time; the threaded mpsc path ignores `arrival` because
+    /// `arrival`; the threaded mpsc path needs no key because
     /// per-sender FIFO already carries the ordering.
-    fn deliver(&self, dst: usize, arrival: VTime, msg: Delivery<M>) {
-        let _ = arrival;
+    fn deliver(&self, dst: usize, msg: Delivery<M>) {
         match &self.transport {
             Transport::Threaded { txs, .. } => {
                 if txs[dst].send(msg).is_err() && self.plan.is_none() {
@@ -252,7 +251,6 @@ impl<M> Endpoint<M> {
         let Some(plan) = self.plan else {
             self.deliver(
                 dst,
-                arrival,
                 Delivery {
                     src: self.rank,
                     arrival,
@@ -318,7 +316,6 @@ impl<M> Endpoint<M> {
             msg.corrupt(r_corrupt | 1);
             self.deliver(
                 dst,
-                arrival,
                 Delivery {
                     src: self.rank,
                     arrival,
@@ -334,7 +331,6 @@ impl<M> Endpoint<M> {
         if unit(r_dup) < plan.duplicate_prob {
             self.deliver(
                 dst,
-                arrival,
                 Delivery {
                     src: self.rank,
                     arrival,
@@ -353,7 +349,6 @@ impl<M> Endpoint<M> {
             self.stats.wire_bytes += wire_bytes as u64;
             self.deliver(
                 dst,
-                dup_arrival,
                 Delivery {
                     src: self.rank,
                     arrival: dup_arrival,
@@ -368,7 +363,6 @@ impl<M> Endpoint<M> {
 
         self.deliver(
             dst,
-            arrival,
             Delivery {
                 src: self.rank,
                 arrival,
@@ -390,7 +384,6 @@ impl<M> Endpoint<M> {
         obs::wallprof::add(obs::wallprof::Counter::Injections, 1);
         self.deliver(
             dst,
-            arrival,
             Delivery {
                 src: self.rank,
                 arrival,
