@@ -448,9 +448,9 @@ impl Env {
     /// bytes changed since the last sync are written, so remote deposits
     /// that already landed are preserved.
     fn publish_local_writes(&mut self, win: JWin) -> BindResult<()> {
-        let info = self.storage_info(win)?;
-        let image: Vec<u8> = match info {
-            StorageInfo::Buffer(b) => self.rt.direct_bytes(b)?.to_vec(),
+        // The direct buffer holding the user's view of the window.
+        let user = match self.storage_info(win)? {
+            StorageInfo::Buffer(b) => b,
             StorageInfo::Array {
                 store,
                 handle,
@@ -462,20 +462,21 @@ impl Env {
                 // into its pinned staging.
                 let clock = self.mpi.clock_mut();
                 stage_from_array(&mut self.rt, clock, store, handle, 0, count, dt)?;
-                self.rt.direct_bytes(store)?.to_vec()
+                store
             }
         };
         let native = self.win_state(win)?.native;
-        let last = std::mem::take(&mut self.win_state_mut(win)?.last_sync);
-        {
-            let mem = self.mpi.win_mem_mut(native)?;
-            for (i, (&new, &old)) in image.iter().zip(last.iter()).enumerate() {
-                if new != old {
-                    mem[i] = new;
-                }
-            }
+        let last = &self.wins[win.0]
+            .as_ref()
+            .expect("window checked above")
+            .last_sync;
+        let image = self.rt.direct_bytes(user)?;
+        let mem = self.mpi.win_mem_mut(native)?;
+        // Branch-free select, so the diff vectorises: a byte the user
+        // left alone keeps whatever the NIC view holds.
+        for ((m, &new), &old) in mem.iter_mut().zip(image).zip(last) {
+            *m = if new != old { new } else { *m };
         }
-        self.win_state_mut(win)?.last_sync = last;
         Ok(())
     }
 
@@ -524,11 +525,11 @@ impl Env {
     fn refresh_user_storage(&mut self, win: JWin) -> BindResult<()> {
         let info = self.storage_info(win)?;
         let native = self.win_state(win)?.native;
-        let snapshot = self.mpi.win_mem(native)?.to_vec();
+        let mem = self.mpi.win_mem(native)?;
         match info {
             StorageInfo::Buffer(b) => {
                 // The buffer *is* the exposed region: uncharged mirror.
-                self.rt.direct_bytes_mut(b)?[..snapshot.len()].copy_from_slice(&snapshot);
+                self.rt.direct_bytes_mut(b)?[..mem.len()].copy_from_slice(mem);
             }
             StorageInfo::Array {
                 store,
@@ -537,7 +538,7 @@ impl Env {
                 ref dt,
                 byte_len,
             } => {
-                self.rt.direct_bytes_mut(store)?[..byte_len].copy_from_slice(&snapshot[..byte_len]);
+                self.rt.direct_bytes_mut(store)?[..byte_len].copy_from_slice(&mem[..byte_len]);
                 let dest = ArrayDest {
                     handle,
                     byte_off: 0,
@@ -548,7 +549,15 @@ impl Env {
                 unstage_to_array(&mut self.rt, clock, store, &dest, count, dt, byte_len)?;
             }
         }
-        self.win_state_mut(win)?.last_sync = snapshot;
+        // Refresh the shadow in place, only once the user storage holds
+        // the NIC view (an error above leaves the old shadow).
+        let mem = self.mpi.win_mem(native)?;
+        let last = &mut self.wins[win.0]
+            .as_mut()
+            .expect("window checked above")
+            .last_sync;
+        last.clear();
+        last.extend_from_slice(mem);
         Ok(())
     }
 

@@ -52,18 +52,16 @@ pub(crate) fn stage_from_array_at(
     }
     if dt.is_contiguous() {
         // One bulk copy.
-        let bytes = rt.heap().bytes(src)?[src_byte_off..src_byte_off + packed].to_vec();
-        rt.direct_write_bytes(store, store_off, &bytes, clock)?;
+        rt.direct_write_from_heap(store, store_off, src, src_byte_off, packed, clock)?;
     } else {
+        // Each scattered segment is a separate (charged) copy.
         let segs = dt.segments();
         let ext = dt.extent();
         let mut pos = store_off;
         for i in 0..count {
             let base = src_byte_off + i * ext;
             for &(off, len) in &segs {
-                let bytes = rt.heap().bytes(src)?[base + off..base + off + len].to_vec();
-                // Each scattered segment is a separate (charged) copy.
-                rt.direct_write_bytes(store, pos, &bytes, clock)?;
+                rt.direct_write_from_heap(store, pos, src, base + off, len, clock)?;
                 pos += len;
             }
         }
@@ -123,10 +121,14 @@ pub(crate) fn unstage_to_array_at(
         });
     }
     if dt.is_contiguous() {
-        let mut bytes = vec![0u8; full * elem];
-        rt.direct_read_bytes(store, store_off, &mut bytes, clock)?;
-        let dst = rt.heap_mut().bytes_mut(dest.handle)?;
-        dst[dest.byte_off..dest.byte_off + bytes.len()].copy_from_slice(&bytes);
+        rt.direct_read_into_heap(
+            store,
+            store_off,
+            dest.handle,
+            dest.byte_off,
+            full * elem,
+            clock,
+        )?;
     } else {
         let segs = dt.segments();
         let ext = dt.extent();
@@ -134,10 +136,7 @@ pub(crate) fn unstage_to_array_at(
         for i in 0..full {
             let base = dest.byte_off + i * ext;
             for &(off, len) in &segs {
-                let mut bytes = vec![0u8; len];
-                rt.direct_read_bytes(store, pos, &mut bytes, clock)?;
-                let dst = rt.heap_mut().bytes_mut(dest.handle)?;
-                dst[base + off..base + off + len].copy_from_slice(&bytes);
+                rt.direct_read_into_heap(store, pos, dest.handle, base + off, len, clock)?;
                 pos += len;
             }
         }
@@ -222,6 +221,67 @@ mod tests {
         let mut out = [0i32; 8];
         rt.array_read(dst, 0, &mut out, &mut c).unwrap();
         assert_eq!(out, [0, -1, -1, 3, 4, -1, -1, 7]);
+    }
+
+    /// Stage then unstage `count` elements of `dt` over an `i32` array of
+    /// `len` values, and check that each direction leaves the clock where
+    /// one `memcpy` charge per element-segment, in typemap order, would.
+    fn check_segment_charges(dt: &Datatype, count: usize, len: usize) {
+        let (mut rt, mut c) = setup();
+        let arr = rt.alloc_array::<i32>(len, &mut c).unwrap();
+        for i in 0..len {
+            rt.array_set(arr, i, i as i32, &mut c).unwrap();
+        }
+        let store = rt.allocate_direct(1024, &mut c);
+        let dst = rt.alloc_array::<i32>(len, &mut c).unwrap();
+        let cost = *rt.cost();
+        let expected = |c: &Clock| {
+            let mut want = c.clone();
+            for _ in 0..count {
+                for (_, seg) in dt.segments() {
+                    want.charge(cost.memcpy(seg));
+                }
+            }
+            want.now()
+        };
+
+        let want = expected(&c);
+        let n = stage_from_array(&mut rt, &mut c, store, arr.handle(), 0, count, dt).unwrap();
+        assert_eq!(n, dt.size() * count);
+        assert_eq!(c.now(), want, "stage of {dt:?}");
+
+        let dest = ArrayDest {
+            handle: dst.handle(),
+            byte_off: 0,
+            byte_len: len * 4,
+        };
+        let want = expected(&c);
+        unstage_to_array(&mut rt, &mut c, store, &dest, count, dt, n).unwrap();
+        assert_eq!(c.now(), want, "unstage of {dt:?}");
+
+        // The scatter lands every typemap byte where the gather found it.
+        let (src, out) = (
+            rt.heap().bytes(arr.handle()).unwrap(),
+            rt.heap().bytes(dst.handle()).unwrap(),
+        );
+        for i in 0..count {
+            for (off, seg) in dt.segments() {
+                let at = i * dt.extent() + off;
+                assert_eq!(src[at..at + seg], out[at..at + seg]);
+            }
+        }
+    }
+
+    #[test]
+    fn derived_types_charge_one_memcpy_per_element_segment() {
+        // 3 blocks of 2 ints, stride 3: segments (0,8) (12,8) (24,8).
+        check_segment_charges(&Datatype::vector(3, 2, 3, INT).unwrap(), 4, 40);
+        // Blocks at 0 (1 int) and 2 (3 ints): segments (0,4) (8,12).
+        check_segment_charges(
+            &Datatype::indexed(vec![(0, 1), (2, 3)], INT).unwrap(),
+            5,
+            25,
+        );
     }
 
     #[test]

@@ -284,10 +284,76 @@ impl Datatype {
         }
     }
 
-    /// Span of a single element up to the end of its last segment (an
-    /// element's data may end before its extent).
+    /// Span of a single element up to the end of its last typemap segment
+    /// (an element's data may end before its extent), computed from the
+    /// structure without building the typemap. 0 when the element holds
+    /// no data: every basic type is at least one byte, so a non-zero
+    /// trailing span means at least one segment.
     fn trailing_span(&self) -> usize {
-        self.segments().last().map(|&(o, l)| o + l).unwrap_or(0)
+        // End of the data of `base` element number `last`, if it has any.
+        let last_base_end = |last: usize, base: &Datatype| match base.trailing_span() {
+            0 => 0,
+            t => last * base.extent() + t,
+        };
+        match self {
+            Datatype::Basic(b) => b.size(),
+            Datatype::Contiguous { count, base } => match count {
+                0 => 0,
+                n => last_base_end(n - 1, base),
+            },
+            Datatype::Vector {
+                count,
+                blocklength,
+                stride,
+                base,
+            } => {
+                if *count == 0 || *blocklength == 0 {
+                    0
+                } else {
+                    last_base_end((count - 1) * stride + blocklength - 1, base)
+                }
+            }
+            Datatype::Indexed { blocks, base } => blocks
+                .iter()
+                .rev()
+                .find(|&&(_, len)| len > 0)
+                .map_or(0, |&(disp, len)| last_base_end(disp + len - 1, base)),
+        }
+    }
+
+    /// Call `f(offset, len)` for each byte run that `count` elements
+    /// occupy in the user buffer, in typemap order, with adjacent runs
+    /// merged (across element boundaries too). A contiguous type is one
+    /// run of `size() * count` bytes; any other type walks its typemap
+    /// once per element. Pack and unpack copy one run at a time, so a
+    /// message of `BYTE`s costs one memcpy rather than one per byte.
+    fn for_each_run(&self, count: usize, mut f: impl FnMut(usize, usize)) {
+        let (size, ext) = (self.size(), self.extent());
+        if size == 0 || count == 0 {
+            return;
+        }
+        if size == ext {
+            f(0, size * count);
+            return;
+        }
+        let segs = self.segments();
+        let (mut at, mut len) = (0, 0);
+        for i in 0..count {
+            for &(off, seg_len) in &segs {
+                let start = i * ext + off;
+                if len > 0 && at + len == start {
+                    len += seg_len;
+                } else {
+                    if len > 0 {
+                        f(at, len);
+                    }
+                    (at, len) = (start, seg_len);
+                }
+            }
+        }
+        if len > 0 {
+            f(at, len);
+        }
     }
 
     /// Pack `count` elements from `src` into a dense byte vector.
@@ -300,14 +366,9 @@ impl Datatype {
             });
         }
         let mut out = Vec::with_capacity(self.size() * count);
-        let segs = self.segments();
-        let ext = self.extent();
-        for i in 0..count {
-            let base = i * ext;
-            for &(off, len) in &segs {
-                out.extend_from_slice(&src[base + off..base + off + len]);
-            }
-        }
+        self.for_each_run(count, |off, len| {
+            out.extend_from_slice(&src[off..off + len])
+        });
         Ok(out)
     }
 
@@ -333,23 +394,18 @@ impl Datatype {
                 available: dst.len(),
             });
         }
-        let segs = self.segments();
-        let ext = self.extent();
         let mut pos = 0usize;
-        for i in 0..full {
-            let base = i * ext;
-            for &(off, len) in &segs {
-                dst[base + off..base + off + len].copy_from_slice(&data[pos..pos + len]);
-                pos += len;
-            }
-        }
+        self.for_each_run(full, |off, len| {
+            dst[off..off + len].copy_from_slice(&data[pos..pos + len]);
+            pos += len;
+        });
         // Trailing partial element, if the sender sent a ragged tail
         // (possible with basic types only in practice).
         let rem = data.len() - pos;
         if rem > 0 {
-            let base = full * ext;
+            let base = full * self.extent();
             let mut left = rem;
-            for &(off, len) in &segs {
+            for (off, len) in self.segments() {
                 let take = left.min(len);
                 if dst.len() < base + off + take {
                     return Err(MpiError::BufferTooSmall {
@@ -500,5 +556,244 @@ mod tests {
         let packed = t.pack(&src, 1).unwrap();
         assert_eq!(packed.len(), 8);
         assert_eq!(packed, vec![0, 1, 4, 5, 6, 7, 10, 11]);
+    }
+
+    /// The per-element pack engine the run-based one replaced: one copy
+    /// per typemap segment per element, and the span from the typemap.
+    mod reference {
+        use super::*;
+
+        pub fn span(dt: &Datatype, count: usize) -> usize {
+            let trailing = dt.segments().last().map(|&(o, l)| o + l).unwrap_or(0);
+            if count == 0 {
+                0
+            } else {
+                (count - 1) * dt.extent() + trailing
+            }
+        }
+
+        pub fn pack(dt: &Datatype, src: &[u8], count: usize) -> MpiResult<Vec<u8>> {
+            let needed = span(dt, count);
+            if src.len() < needed {
+                return Err(MpiError::BufferTooSmall {
+                    needed,
+                    available: src.len(),
+                });
+            }
+            let mut out = Vec::with_capacity(dt.size() * count);
+            let segs = dt.segments();
+            let ext = dt.extent();
+            for i in 0..count {
+                let base = i * ext;
+                for &(off, len) in &segs {
+                    out.extend_from_slice(&src[base + off..base + off + len]);
+                }
+            }
+            Ok(out)
+        }
+
+        pub fn unpack(
+            dt: &Datatype,
+            data: &[u8],
+            count: usize,
+            dst: &mut [u8],
+        ) -> MpiResult<usize> {
+            let elem_size = dt.size();
+            if elem_size == 0 {
+                return Ok(0);
+            }
+            let full = data.len() / elem_size;
+            if full > count {
+                return Err(MpiError::Truncated {
+                    incoming: data.len(),
+                    capacity: elem_size * count,
+                });
+            }
+            let needed = span(dt, full);
+            if dst.len() < needed {
+                return Err(MpiError::BufferTooSmall {
+                    needed,
+                    available: dst.len(),
+                });
+            }
+            let segs = dt.segments();
+            let ext = dt.extent();
+            let mut pos = 0usize;
+            for i in 0..full {
+                let base = i * ext;
+                for &(off, len) in &segs {
+                    dst[base + off..base + off + len].copy_from_slice(&data[pos..pos + len]);
+                    pos += len;
+                }
+            }
+            let rem = data.len() - pos;
+            if rem > 0 {
+                let base = full * ext;
+                let mut left = rem;
+                for &(off, len) in &segs {
+                    let take = left.min(len);
+                    if dst.len() < base + off + take {
+                        return Err(MpiError::BufferTooSmall {
+                            needed: base + off + take,
+                            available: dst.len(),
+                        });
+                    }
+                    dst[base + off..base + off + take].copy_from_slice(&data[pos..pos + take]);
+                    pos += take;
+                    left -= take;
+                    if left == 0 {
+                        break;
+                    }
+                }
+            }
+            Ok(data.len())
+        }
+    }
+
+    /// Seeded 64-bit LCG (Knuth's MMIX constants).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 33
+        }
+
+        /// Uniform in `0..n` (`n > 0`).
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn bytes(&mut self, n: usize) -> Vec<u8> {
+            (0..n).map(|_| self.next() as u8).collect()
+        }
+    }
+
+    const BASICS: [BasicType; 8] = [
+        BasicType::Byte,
+        BasicType::Boolean,
+        BasicType::Char,
+        BasicType::Short,
+        BasicType::Int,
+        BasicType::Long,
+        BasicType::Float,
+        BasicType::Double,
+    ];
+
+    /// A random datatype nested up to `depth` constructors deep, built
+    /// through the public constructors (so always well formed).
+    fn random_type(rng: &mut Lcg, depth: usize) -> Datatype {
+        let basic = Datatype::Basic(BASICS[rng.below(BASICS.len())]);
+        if depth == 0 {
+            return basic;
+        }
+        let base = if rng.below(3) == 0 {
+            basic
+        } else {
+            random_type(rng, depth - 1)
+        };
+        match rng.below(4) {
+            0 => base,
+            1 => Datatype::contiguous(rng.below(4), base),
+            2 => {
+                let blocklength = rng.below(4);
+                let stride = blocklength + rng.below(3);
+                Datatype::vector(rng.below(4), blocklength, stride, base).unwrap()
+            }
+            _ => {
+                let mut disp = 0;
+                let blocks = (0..rng.below(4))
+                    .map(|_| {
+                        disp += rng.below(3);
+                        let len = rng.below(3);
+                        let block = (disp, len);
+                        disp += len;
+                        block
+                    })
+                    .collect();
+                Datatype::indexed(blocks, base).unwrap()
+            }
+        }
+    }
+
+    /// A length around `exact`: short, exact, or long, chosen at random.
+    fn around(rng: &mut Lcg, exact: usize) -> usize {
+        match rng.below(4) {
+            0 => exact.saturating_sub(1 + rng.below(8)),
+            1 => exact + 1 + rng.below(8),
+            _ => exact,
+        }
+    }
+
+    #[test]
+    fn run_engine_matches_the_per_element_reference() {
+        let mut rng = Lcg(0x5eed_da7a_7e9e);
+        let mut cases = 0;
+        while cases < 3000 {
+            let dt = random_type(&mut rng, 3);
+            let count = rng.below(65);
+            // Keep each case small; skip the rare huge nesting.
+            if dt.extent().max(1) * count > 1 << 14 {
+                continue;
+            }
+            cases += 1;
+
+            // Pack from a short, exact or oversized source.
+            let src_len = around(&mut rng, reference::span(&dt, count));
+            let src = rng.bytes(src_len);
+            assert_eq!(
+                dt.pack(&src, count),
+                reference::pack(&dt, &src, count),
+                "pack {dt:?} x{count} from {} bytes",
+                src.len()
+            );
+
+            // Unpack a message that may be short, ragged or oversized
+            // into a destination that may be short or long. Gap bytes
+            // (and bytes past the data) must stay as they were.
+            let elem = dt.size();
+            let len = match rng.below(5) {
+                0 => elem * count + 1 + rng.below(2 * elem + 1),
+                1 => rng.below(elem * count + 1),
+                _ => elem * count,
+            };
+            let data = rng.bytes(len);
+            let dst_len = around(&mut rng, reference::span(&dt, count));
+            let fill = rng.bytes(dst_len);
+            let (mut got, mut want) = (fill.clone(), fill);
+            assert_eq!(
+                dt.unpack(&data, count, &mut got),
+                reference::unpack(&dt, &data, count, &mut want),
+                "unpack {dt:?} x{count}: {len} bytes into {}",
+                want.len()
+            );
+            assert_eq!(
+                got, want,
+                "unpack {dt:?} x{count}: destination bytes differ"
+            );
+        }
+    }
+
+    #[test]
+    fn span_matches_the_typemap_for_nested_types() {
+        let mut rng = Lcg(0x0005_9a11);
+        for _ in 0..2000 {
+            let dt = random_type(&mut rng, 3);
+            for count in [0, 1, 2, 7] {
+                assert_eq!(
+                    dt.span(count),
+                    reference::span(&dt, count),
+                    "{dt:?} x{count}"
+                );
+            }
+        }
+        // Trailing empty blocks and empty bases end the data early.
+        let t = Datatype::indexed(vec![(0, 1), (4, 0)], INT).unwrap();
+        assert_eq!((t.extent(), t.span(1), t.span(2)), (16, 4, 20));
+        let empty = Datatype::contiguous(3, Datatype::indexed(vec![(2, 0)], INT).unwrap());
+        assert_eq!((empty.extent(), empty.span(1), empty.span(2)), (24, 0, 24));
     }
 }
