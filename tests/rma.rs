@@ -1,10 +1,11 @@
 //! Workspace-level RMA tests: the zero-copy contract for direct-buffer
 //! windows (registration cache, no staging traffic), the staged path for
-//! array windows, LRU pressure on the pin-down cache, and the typed
+//! array windows, LRU pressure on the pin-down cache, the fence's
+//! changed-bytes-only publish (remote deposits survive it), and the typed
 //! failure a dead target NIC must surface through an RMA epoch.
 
-use mvapich2j::datatype::INT;
-use mvapich2j::{run_job, run_job_with_obs, BindError, JobConfig, Topology};
+use mvapich2j::datatype::{BYTE, INT};
+use mvapich2j::{run_job, run_job_with_obs, BindError, DirectBuffer, JArray, JobConfig, Topology};
 use simfabric::FaultPlan;
 
 /// Direct-buffer Put over the rendezvous (zero-copy) path: the origin
@@ -162,6 +163,156 @@ fn rma_time_shows_up_in_attribution() {
         a.render_text().contains("rma%"),
         "report grows an rma column"
     );
+}
+
+/// The kind of user storage behind a window.
+#[derive(Clone, Copy, Debug)]
+enum WinKind {
+    Buffer,
+    Array,
+}
+
+/// The user storage behind a window: a direct buffer or a `byte[]`.
+#[derive(Clone, Copy)]
+enum Storage {
+    Buffer(DirectBuffer),
+    Array(JArray<i8>),
+}
+
+/// Rank 1's window bytes after one fence epoch in which rank 0 puts
+/// `PUT` into bytes `[8, 24)` of it, while rank 1 itself writes `LOCAL`
+/// into bytes `[0, 8)` — the same 64-byte span — and writes byte 12 back
+/// to the value it already holds. With `barrier_after_put`, a barrier
+/// between the put and rank 1's writes (and one before the put) makes the
+/// put land in the NIC view before rank 1's closing fence publishes its
+/// writes; without them, the put is applied during the fence.
+fn window_after_put_beside_local_write(kind: WinKind, barrier_after_put: bool) -> Vec<u8> {
+    let results = run_job(JobConfig::mvapich2j(Topology::single_node(2)), move |env| {
+        let w = env.world();
+        let me = env.rank();
+        let init: Vec<i8> = (0..WIN).map(|i| initial_byte(i) as i8).collect();
+        let (win, storage) = match kind {
+            WinKind::Buffer => {
+                let buf = env.new_direct(WIN);
+                for (i, &v) in init.iter().enumerate() {
+                    env.direct_put(buf, i, v).unwrap();
+                }
+                (env.win_create_buffer(buf, w).unwrap(), Storage::Buffer(buf))
+            }
+            WinKind::Array => {
+                let arr = env.new_array::<i8>(WIN).unwrap();
+                env.array_write(arr, 0, &init).unwrap();
+                (env.win_create_array(arr, w).unwrap(), Storage::Array(arr))
+            }
+        };
+        env.win_fence(win).unwrap();
+        if barrier_after_put {
+            // Rank 1 has opened the epoch once it enters this barrier, so
+            // the put below is applied on arrival instead of being parked
+            // until the closing fence.
+            env.barrier(w).unwrap();
+        }
+        if me == 0 {
+            let put: Vec<i8> = PUT.iter().map(|&b| b as i8).collect();
+            match kind {
+                WinKind::Buffer => {
+                    let origin = env.new_direct(PUT.len());
+                    for (i, &v) in put.iter().enumerate() {
+                        env.direct_put(origin, i, v).unwrap();
+                    }
+                    env.put_buffer(win, origin, PUT.len() as i32, &BYTE, 1, 8)
+                        .unwrap();
+                }
+                WinKind::Array => {
+                    let origin = env.new_array::<i8>(PUT.len()).unwrap();
+                    env.array_write(origin, 0, &put).unwrap();
+                    env.put_array(win, origin, PUT.len() as i32, 1, 8).unwrap();
+                }
+            }
+        }
+        if barrier_after_put {
+            env.barrier(w).unwrap();
+        }
+        if me == 1 {
+            let local: Vec<i8> = LOCAL.iter().map(|&b| b as i8).collect();
+            let same = initial_byte(12) as i8;
+            match storage {
+                Storage::Buffer(buf) => {
+                    for (i, &v) in local.iter().enumerate() {
+                        env.direct_put(buf, i, v).unwrap();
+                    }
+                    env.direct_put(buf, 12, same).unwrap();
+                }
+                Storage::Array(arr) => {
+                    env.array_write(arr, 0, &local).unwrap();
+                    env.array_set(arr, 12, same).unwrap();
+                }
+            }
+        }
+        env.win_fence(win).unwrap();
+        let mut out = vec![0i8; WIN];
+        match storage {
+            Storage::Buffer(buf) => {
+                for (i, v) in out.iter_mut().enumerate() {
+                    *v = env.direct_get(buf, i).unwrap();
+                }
+            }
+            Storage::Array(arr) => env.array_read(arr, 0, &mut out).unwrap(),
+        }
+        env.win_free(win).unwrap();
+        out.into_iter().map(|b| b as u8).collect::<Vec<u8>>()
+    });
+    results.into_iter().nth(1).unwrap()
+}
+
+/// Window size of the fence-deposit tests: one 64-byte span.
+const WIN: usize = 64;
+/// Rank 1's local write into bytes `[0, 8)` of its own window.
+const LOCAL: [u8; 8] = [0xa0, 0xa1, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6, 0xa7];
+/// Rank 0's put into bytes `[8, 24)` of rank 1's window.
+const PUT: [u8; 16] = [
+    0xc0, 0xc1, 0xc2, 0xc3, 0xc4, 0xc5, 0xc6, 0xc7, 0xc8, 0xc9, 0xca, 0xcb, 0xcc, 0xcd, 0xce, 0xcf,
+];
+
+/// The window's bytes before the epoch.
+fn initial_byte(i: usize) -> u8 {
+    (i as u8).wrapping_mul(7) ^ 0x5a
+}
+
+/// What rank 1 must read after the closing fence: its own write, the
+/// put, and the untouched rest.
+fn expected_window() -> Vec<u8> {
+    let mut want: Vec<u8> = (0..WIN).map(initial_byte).collect();
+    want[..8].copy_from_slice(&LOCAL);
+    want[8..24].copy_from_slice(&PUT);
+    want
+}
+
+/// The put lands in rank 1's NIC view before rank 1's closing fence: the
+/// fence's publish must write only the bytes rank 1 changed, and a byte
+/// written back to its old value is not a change, so the put survives.
+#[test]
+fn fence_publish_keeps_a_put_that_landed_first() {
+    for kind in [WinKind::Buffer, WinKind::Array] {
+        assert_eq!(
+            window_after_put_beside_local_write(kind, true),
+            expected_window(),
+            "{kind:?} window"
+        );
+    }
+}
+
+/// Without the barrier, the put is applied during the closing fence,
+/// after rank 1's publish: the window still holds both writes.
+#[test]
+fn fence_merges_a_put_applied_during_the_fence() {
+    for kind in [WinKind::Buffer, WinKind::Array] {
+        assert_eq!(
+            window_after_put_beside_local_write(kind, false),
+            expected_window(),
+            "{kind:?} window"
+        );
+    }
 }
 
 /// A target whose NIC dies mid-epoch (the rank stops progressing, its
