@@ -117,6 +117,26 @@ impl DirectRegion {
             .and_then(|s| s.as_mut())
             .ok_or(MrtError::UseAfterFree)
     }
+
+    /// Bytes `[off, off + len)` of buffer `b`; `BufferOverflow` past its end.
+    pub fn range(&self, b: DirectBuffer, off: usize, len: usize) -> MrtResult<&[u8]> {
+        let data = &self.get(b)?.data;
+        data.get(off..off + len).ok_or(MrtError::BufferOverflow {
+            needed: off + len,
+            available: data.len(),
+        })
+    }
+
+    /// Mutable [`DirectRegion::range`].
+    pub fn range_mut(&mut self, b: DirectBuffer, off: usize, len: usize) -> MrtResult<&mut [u8]> {
+        let data = &mut self.get_mut(b)?.data;
+        let available = data.len();
+        data.get_mut(off..off + len)
+            .ok_or(MrtError::BufferOverflow {
+                needed: off + len,
+                available,
+            })
+    }
 }
 
 #[cfg(test)]
