@@ -8,6 +8,7 @@
 //! 1024-rank and 256-rank-crash runs are `#[ignore]`d by default and
 //! executed by CI's `scale` job (`cargo test --test scale -- --ignored`).
 
+use obs::wallprof::{Counter, COUNTER_NAMES};
 use ombj::{run_with_obs, Api, BenchOptions, Benchmark, CollOp, Library, RunSpec};
 use simfabric::{EngineMode, FaultPlan, Topology};
 
@@ -26,7 +27,24 @@ fn coll_spec(op: CollOp, topo: Topology) -> RunSpec {
     }
 }
 
-fn assert_completes(spec: RunSpec) {
+/// Exact work counters, summed over a job's ranks. On the event engine
+/// each is a pure function of the schedule, so a change to the schedule
+/// order, the match path or the record path moves one of them, while
+/// wall-time work on the simulator leaves all of them as they are.
+const PINNED: [Counter; 8] = [
+    Counter::SchedPolls,
+    Counter::Injections,
+    Counter::Deliveries,
+    Counter::MatchScans,
+    Counter::MatchComparisons,
+    Counter::ObsRecords,
+    Counter::Allocs,
+    Counter::Messages,
+];
+
+/// Run `spec` profiled; with `pinned`, the job's [`PINNED`] counters must
+/// equal it, in that order.
+fn assert_completes(spec: RunSpec, pinned: Option<[u64; 8]>) {
     let (series, report) = run_with_obs(spec, obs::ObsOptions::profiled());
     let s = series.expect("collective completes at scale");
     assert!(!s.points.is_empty());
@@ -34,31 +52,50 @@ fn assert_completes(spec: RunSpec) {
     let perf = report.sim_perf.expect("profiling was on");
     assert_eq!(perf.engine, "event");
     assert!(perf.events() > 0);
+    let totals = perf.totals();
+    for (c, want) in PINNED.into_iter().zip(pinned.into_iter().flatten()) {
+        assert_eq!(
+            totals.counter(c),
+            want,
+            "work counter {} moved: the schedule or a per-message path changed",
+            COUNTER_NAMES[c as usize]
+        );
+    }
 }
 
 /// 64 ranks in the default tier: cheap enough to run always, large
 /// enough to catch scheduler regressions before the ignored tier does.
 #[test]
 fn bcast_64_ranks_event_engine() {
-    assert_completes(coll_spec(CollOp::Bcast, Topology::new(8, 8)));
+    assert_completes(
+        coll_spec(CollOp::Bcast, Topology::new(8, 8)),
+        Some([
+            64_661, 64_724, 64_724, 129_448, 64_724, 609_198, 64_724, 64_724,
+        ]),
+    );
 }
 
 #[test]
 fn allreduce_128_ranks_event_engine() {
-    assert_completes(coll_spec(CollOp::Allreduce, Topology::new(16, 8)));
+    assert_completes(
+        coll_spec(CollOp::Allreduce, Topology::new(16, 8)),
+        Some([
+            169_185, 169_312, 169_312, 338_624, 169_312, 1_541_760, 169_312, 169_312,
+        ]),
+    );
 }
 
 /// The acceptance run: a 1024-rank `osu_bcast` in one process.
 #[test]
 #[ignore = "scale tier: run via `cargo test --test scale -- --ignored` (CI `scale` job)"]
 fn bcast_1024_ranks_event_engine() {
-    assert_completes(coll_spec(CollOp::Bcast, Topology::new(16, 64)));
+    assert_completes(coll_spec(CollOp::Bcast, Topology::new(16, 64)), None);
 }
 
 #[test]
 #[ignore = "scale tier: run via `cargo test --test scale -- --ignored` (CI `scale` job)"]
 fn allreduce_1024_ranks_event_engine() {
-    assert_completes(coll_spec(CollOp::Allreduce, Topology::new(16, 64)));
+    assert_completes(coll_spec(CollOp::Allreduce, Topology::new(16, 64)), None);
 }
 
 /// Fault smoke at scale: a 256-rank job where the crash plan kills one
