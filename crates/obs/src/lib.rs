@@ -175,7 +175,8 @@ pub(crate) fn set_gate(bit: u32, on: bool) {
     });
 }
 
-/// The per-thread (= per-rank) recorder.
+/// The per-rank recorder: a thread-local, swapped per rank by
+/// [`swap_context`] where ranks share a thread.
 struct Recorder {
     rank: usize,
     label: String,
@@ -222,6 +223,28 @@ pub fn install(rank: usize, opts: ObsOptions) {
     } else {
         wallprof::reset();
     }
+}
+
+/// One rank's observability state while it is switched out: its
+/// recorder, its gate word and its [`wallprof`] state. A scheduler that
+/// runs several ranks on one thread keeps one per rank and calls
+/// [`swap_context`] around each turn the rank gets.
+#[derive(Default)]
+pub struct RankContext {
+    gate: u32,
+    recorder: Option<Recorder>,
+    wallprof: wallprof::Saved,
+}
+
+/// Exchange this thread's observability state with `ctx`: swap a rank's
+/// context in before it runs, and call again with the same `ctx` to swap
+/// it back out. The open [`wallprof`] span is settled at swap-out and
+/// restarted at swap-in, so time a rank spends switched out accrues to
+/// no subsystem.
+pub fn swap_context(ctx: &mut RankContext) {
+    GATE.with(|g| ctx.gate = g.swap(ctx.gate, Ordering::Relaxed));
+    RECORDER.with(|r| std::mem::swap(&mut *r.borrow_mut(), &mut ctx.recorder));
+    wallprof::swap(&mut ctx.wallprof);
 }
 
 /// Name this rank's process row in trace viewers (e.g.
@@ -933,6 +956,75 @@ mod tests {
         .pvar_dump();
         assert!(dump.contains("2 ranks"));
         assert!(dump.contains("counter 3"));
+    }
+
+    /// Two ranks' recorders with different options, interleaved on one
+    /// thread: each keeps only its own pvars and ring records, and the
+    /// thread's own (empty) state is back after every swap.
+    #[test]
+    fn swap_context_keeps_each_rank_to_its_own_state() {
+        let (mut a, mut b) = (RankContext::default(), RankContext::default());
+        swap_context(&mut a);
+        install(0, ObsOptions::traced());
+        swap_context(&mut a);
+        swap_context(&mut b);
+        install(1, ObsOptions::default().with_flight());
+        swap_context(&mut b);
+        for i in 0..3 {
+            assert_eq!(gate(), 0, "the thread's own state is back");
+            let at = VTime::from_nanos(i as f64);
+            swap_context(&mut a);
+            count(BIND_CALLS, 1);
+            instant("a", "test", at, vec![]);
+            swap_context(&mut a);
+            swap_context(&mut b);
+            gauge_set(MPJBUF_POOL_OUTSTANDING, i);
+            instant("b", "test", at, vec![]);
+            swap_context(&mut b);
+        }
+        let report = |ctx: &mut RankContext| {
+            swap_context(ctx);
+            let rep = uninstall().expect("the rank's recorder");
+            swap_context(ctx);
+            rep
+        };
+        let (ra, rb) = (report(&mut a), report(&mut b));
+        assert!(uninstall().is_none(), "no recorder leaked to the thread");
+        assert_eq!((ra.rank, rb.rank), (0, 1));
+        assert_eq!(ra.pvars.counter(BIND_CALLS.name()), 3);
+        assert!(ra.pvars.get(MPJBUF_POOL_OUTSTANDING.name()).is_none());
+        assert_eq!(rb.pvars.counter(BIND_CALLS.name()), 0);
+        assert!(rb.pvars.get(MPJBUF_POOL_OUTSTANDING.name()).is_some());
+        assert_eq!(ra.events.len(), 3);
+        assert!(ra.events.iter().all(|e| e.name == "a"));
+        assert!(ra.flight.is_none() && rb.events.is_empty());
+        let flight = rb.flight.expect("rank 1 keeps a flight window");
+        assert_eq!(flight.events.len(), 3);
+        assert!(flight.events.iter().all(|e| e.name == "b"));
+    }
+
+    /// A wallprof span open across a swap accrues only the time its rank
+    /// was swapped in; the rank's wall still covers the whole interval.
+    #[test]
+    fn span_open_across_a_swap_skips_the_switched_out_time() {
+        use std::time::Duration;
+        const AWAY: Duration = Duration::from_millis(60);
+        let mut ctx = RankContext::default();
+        swap_context(&mut ctx);
+        install(0, ObsOptions::profiled());
+        let span = wallprof::span(wallprof::Subsystem::Engine);
+        swap_context(&mut ctx);
+        std::thread::sleep(AWAY);
+        swap_context(&mut ctx);
+        drop(span);
+        let wall = uninstall().and_then(|r| r.wall).expect("profiled");
+        swap_context(&mut ctx);
+        let engine = wall.subs_ns[wallprof::Subsystem::Engine as usize];
+        assert!(
+            engine < AWAY.as_nanos() as u64 / 2,
+            "engine accrued {engine} ns of a {AWAY:?} absence"
+        );
+        assert!(wall.wall_ns >= AWAY.as_nanos() as u64);
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! bit-identical, enforced by workspace tests.
 //!
 //! Like the recorder, the state is a thread-local that every probe
-//! checks with a single `Cell` read when profiling is off.
+//! checks with a single `Cell` read when profiling is off. Where several
+//! ranks share a thread (the event engine's rank contexts), each rank's
+//! state is swapped in for its turn by [`crate::swap_context`], which
+//! stops the open span's clock while the rank is switched out.
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
@@ -131,6 +134,41 @@ thread_local! {
         cur_since: Cell::new(None),
         stack: RefCell::new(Vec::with_capacity(8)),
     };
+}
+
+/// A rank's profiling state while it is switched out (see
+/// [`crate::swap_context`]). The open span's start is not kept: it is
+/// settled at swap-out and restarted at swap-in.
+#[derive(Default)]
+pub(crate) struct Saved {
+    active: bool,
+    started: Option<Instant>,
+    subs_ns: [u64; NSUBS],
+    counters: [u64; NCOUNTERS],
+    cur: Option<usize>,
+    stack: Vec<Option<usize>>,
+}
+
+/// Exchange this thread's profiling state with `saved`.
+pub(crate) fn swap(saved: &mut Saved) {
+    WP.with(|s| {
+        let now = (s.cur.get().is_some() || saved.cur.is_some()).then(Instant::now);
+        if let (Some(cur), Some(since), Some(now)) = (s.cur.get(), s.cur_since.get(), now) {
+            let cell = &s.subs_ns[cur];
+            cell.set(cell.get() + now.duration_since(since).as_nanos() as u64);
+        }
+        saved.active = s.active.replace(saved.active);
+        saved.started = s.started.replace(saved.started);
+        for (cell, v) in s.subs_ns.iter().zip(&mut saved.subs_ns) {
+            *v = cell.replace(*v);
+        }
+        for (cell, v) in s.counters.iter().zip(&mut saved.counters) {
+            *v = cell.replace(*v);
+        }
+        saved.cur = s.cur.replace(saved.cur);
+        s.cur_since.set(s.cur.get().and(now));
+        std::mem::swap(&mut *s.stack.borrow_mut(), &mut saved.stack);
+    });
 }
 
 /// Activate profiling for this thread, zeroing all state.

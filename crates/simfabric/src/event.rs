@@ -2,16 +2,20 @@
 //! cooperative rank scheduler that runs a whole cluster as a
 //! single-threaded discrete-event simulation.
 //!
-//! Under [`EngineMode::EventDriven`] a rank is a resumable state
-//! machine: exactly one rank executes at any instant, and every fabric
-//! operation that would park a thread in the threaded engine instead
-//! hands the *baton* to the scheduler, which releases the next frame
-//! from a binary-heap event queue ordered by `(arrival time, src,
-//! seq)`. Blocking semantics, watchdogs, and fault handling key off
-//! *structural* conditions (is any progress still possible?) instead of
-//! wall-clock timeouts, so a 1024-rank job needs no real concurrency at
-//! all — rank threads exist only to hold per-rank stacks and
-//! thread-local observability state, never to run in parallel.
+//! Under [`EngineMode::EventDriven`] every rank is a stackful context
+//! (see the `context` module) on the thread that called
+//! [`run_cluster_event`]: exactly one rank executes at any instant, and
+//! every fabric operation that would park a thread in the threaded
+//! engine instead parks the rank's context. The parking rank chooses
+//! its successor — the next frame from a binary-heap event queue
+//! ordered by `(arrival time, src, seq)`, else a polling rank — and
+//! suspends; the runner resumes the chosen rank, swapping its
+//! observability state in around the turn. Blocking semantics,
+//! watchdogs, and fault handling key off *structural* conditions (is
+//! any progress still possible?) instead of wall-clock timeouts, so a
+//! 1024-rank job needs no real concurrency at all. A rank that panics
+//! poisons the engine; the runner then resumes every unfinished rank
+//! once so it unwinds, and re-throws the first panic.
 //!
 //! Determinism argument: execution is globally serialized (one Running
 //! rank), so event-queue sequence numbers are assigned in a
@@ -25,12 +29,11 @@
 use std::any::Any;
 use std::collections::{BTreeSet, BinaryHeap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::thread::Thread;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use vtime::VTime;
 
+use crate::context::Context;
 use crate::endpoint::{Delivery, Endpoint};
 use crate::topology::Topology;
 
@@ -41,10 +44,11 @@ pub enum EngineMode {
     /// real thread parking. The original engine.
     #[default]
     Threaded,
-    /// Single-threaded discrete-event loop with a baton scheduler:
-    /// frames are delivered from a binary-heap event queue in
-    /// `(time, src, seq)` order and blocking compiles to park/resume
-    /// transitions. Scales to thousands of ranks in one process.
+    /// Single-threaded discrete-event loop: every rank is a stackful
+    /// context on one OS thread, frames are delivered from a
+    /// binary-heap event queue in `(time, src, seq)` order, and
+    /// blocking compiles to park/resume transitions. Scales to
+    /// thousands of ranks in one process.
     EventDriven,
 }
 
@@ -189,7 +193,7 @@ impl<T> EventQueue<T> {
 /// Where a rank's state machine currently is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RankStatus {
-    /// Holds the baton and is executing. At most one rank at a time.
+    /// Executing (or chosen to run next). At most one rank at a time.
     Running,
     /// Parked inside a blocking receive; only a delivery (or a
     /// structural deadlock) resumes it.
@@ -222,11 +226,14 @@ struct CoreState<M> {
     /// The ranks in `PollYield`, so poll rotation finds the next one
     /// without scanning every slot.
     polling: BTreeSet<usize>,
+    /// The rank the runner resumes next: chosen by the rank that last
+    /// gave up control, taken by the runner when that rank suspends.
+    handoff: Option<usize>,
     /// A fault plan is installed somewhere: late frames for exited
     /// ranks are the crash model, not a wiring bug.
     fault_mode: bool,
-    /// A rank panicked (or the fabric hit a wiring bug): every parked
-    /// rank must unwind instead of waiting forever.
+    /// A rank panicked (or the fabric hit a wiring bug): every
+    /// unfinished rank must unwind instead of waiting forever.
     poisoned: Option<&'static str>,
     /// The first rank that panicked, so the runner can re-throw *its*
     /// payload rather than a cascade panic from an innocent rank.
@@ -246,8 +253,7 @@ impl<M> CoreState<M> {
         }
     }
 
-    /// Give `rank` the baton; the caller wakes it once the lock is
-    /// released.
+    /// Mark `rank` as the one to run next.
     fn resume(&mut self, rank: usize) -> usize {
         if self.slots[rank].status == RankStatus::PollYield {
             self.polling.remove(&rank);
@@ -301,26 +307,16 @@ impl<M> CoreState<M> {
     }
 }
 
-/// Shared state of one event-driven cluster: the event queue and
-/// per-rank slots behind one lock, and a per-rank go flag through
-/// which the running rank hands the baton to the next one.
+/// Shared state of one event-driven cluster: the event queue and the
+/// per-rank slots. Every rank runs as a [`Context`] on the runner's
+/// thread, so the lock is never contended; it stays because an
+/// [`Endpoint`] must be `Send` for the threaded engine.
 pub(crate) struct EventCore<M> {
     state: Mutex<CoreState<M>>,
-    /// Set for a rank when the baton is handed to it; the rank consumes
-    /// it to resume. The waker's `Release` store pairs with the rank's
-    /// `Acquire` swap, so everything the waker did happens before the
-    /// rank runs.
-    go: Vec<AtomicBool>,
-    /// Every rank thread, registered by the runner before rank 0 runs,
-    /// so any rank can be woken before it has reached its first park.
-    threads: OnceLock<Vec<Thread>>,
-    /// `CoreState::poisoned` is set, for ranks parked outside the lock
-    /// (`Release` store, `Acquire` load).
-    poison: AtomicBool,
 }
 
 const POISON_CASCADE: &str = "event engine poisoned: another rank panicked";
-const POISON_LATE_FRAME: &str = "fabric mailbox closed: a rank thread exited early (event engine)";
+const POISON_LATE_FRAME: &str = "fabric mailbox closed: a rank exited early (event engine)";
 
 impl<M> EventCore<M> {
     pub(crate) fn new(n: usize) -> Self {
@@ -328,7 +324,7 @@ impl<M> EventCore<M> {
         let slots = (0..n)
             .map(|rank| RankSlot {
                 inbox: None,
-                // Rank 0 starts with the baton; every other rank is
+                // Rank 0 runs first; every other rank is
                 // runnable-from-the-start, which is exactly a poll
                 // yield at its first instruction.
                 status: if rank == 0 {
@@ -344,13 +340,11 @@ impl<M> EventCore<M> {
                 queue: EventQueue::new(),
                 slots,
                 polling: (1..n).collect(),
+                handoff: None,
                 fault_mode: false,
                 poisoned: None,
                 original_panicker: None,
             }),
-            go: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            threads: OnceLock::new(),
-            poison: AtomicBool::new(false),
         }
     }
 
@@ -376,79 +370,40 @@ impl<M> EventCore<M> {
         self.lock().fault_mode = true;
     }
 
-    /// Register the rank threads, rank order. Must precede the first
-    /// [`EventCore::hand_off`].
-    fn register_threads(&self, threads: Vec<Thread>) {
-        assert!(
-            self.threads.set(threads).is_ok(),
-            "rank threads registered twice"
-        );
-    }
-
-    /// Wake `rank` with the baton. Never called with the lock held, so
-    /// the woken rank does not block on it.
-    fn hand_off(&self, rank: usize) {
-        self.go[rank].store(true, Ordering::Release);
-        self.threads.get().expect("rank threads registered")[rank].unpark();
-    }
-
-    /// Poison the core and wake every rank so each one unwinds.
-    fn poison(&self, mut st: MutexGuard<'_, CoreState<M>>, msg: &'static str) {
-        st.poisoned = Some(msg);
-        drop(st);
-        self.wake_all();
-    }
-
-    /// Wake every rank after the core was poisoned (lock released).
-    fn wake_all(&self) {
-        self.poison.store(true, Ordering::Release);
-        for t in self.threads.get().into_iter().flatten() {
-            t.unpark();
-        }
-    }
-
-    /// Park until this rank is handed the baton or the core is
-    /// poisoned. Unparks meant for other waits are absorbed by the
-    /// flag check.
-    fn wait_turn(&self, rank: usize) {
-        while !self.go[rank].swap(false, Ordering::Acquire) && !self.poison.load(Ordering::Acquire)
-        {
-            std::thread::park();
-        }
-    }
-
-    /// Give up the baton: choose the next rank under the lock, release
-    /// the lock, then wake that rank. Returns whether the choice was
-    /// `rank` itself, in which case it keeps running without parking.
-    /// The hand-off is priced as scheduler time; the park that follows
-    /// it is not.
-    fn pass_baton(&self, mut st: MutexGuard<'_, CoreState<M>>, rank: usize) -> bool {
+    /// Choose who runs after `rank` and leave the choice for the
+    /// runner. Returns whether the choice was `rank` itself, in which
+    /// case it keeps running. Priced as scheduler time.
+    fn choose_next(&self, mut st: MutexGuard<'_, CoreState<M>>, rank: usize) -> bool {
         let _sched = obs::wallprof::span(obs::wallprof::Subsystem::Sched);
         let next = st.schedule_next(rank);
-        let poisoned = st.poisoned.is_some();
-        drop(st);
-        match next {
-            Some(r) if r == rank => return true,
-            Some(r) => self.hand_off(r),
-            None if poisoned => self.wake_all(),
-            None => {}
+        if next == Some(rank) {
+            return true;
         }
+        st.handoff = next;
         false
     }
 
-    /// Park the running `rank` in `status` until it holds the baton
-    /// again.
-    fn park(&self, mut st: MutexGuard<'_, CoreState<M>>, rank: usize, status: RankStatus) {
+    /// Mark the running `rank` parked in `status` and switch its context
+    /// out until the runner resumes it.
+    fn suspend(&self, mut st: MutexGuard<'_, CoreState<M>>, rank: usize, status: RankStatus) {
         st.park(rank, status);
-        if !self.pass_baton(st, rank) {
-            self.wait_turn(rank);
+        if self.choose_next(st, rank) {
+            return;
         }
+        // Every rank shares the runner thread's panic count, so a rank
+        // switched out mid-unwind would make the next one look like it
+        // is unwinding too.
+        if std::thread::panicking() {
+            crate::context::abort(&format!(
+                "event engine: rank {rank} tried to park while unwinding"
+            ));
+        }
+        crate::context::suspend();
     }
 
-    /// Block a freshly spawned rank thread until the scheduler starts
-    /// it (rank 0 is started by the runner).
-    pub(crate) fn start_wait(&self, rank: usize) {
-        self.wait_turn(rank);
+    /// First thing a rank runs: unwind at once if the engine was
+    /// poisoned before the rank ever started.
+    fn start_wait(&self) {
         drop(self.lock_unpoisoned());
     }
 
@@ -465,17 +420,17 @@ impl<M> EventCore<M> {
             }
             if st.slots[rank].stall_wake {
                 st.slots[rank].stall_wake = false;
-                self.poison(
-                    st,
+                st.poisoned = Some(
                     "event engine stalled: a rank is blocked in recv with no runnable \
                      rank and no pending events (deadlock)",
                 );
+                drop(st);
                 panic!(
                     "event engine stalled: rank {rank} blocked in recv with no runnable \
                      rank and no pending events (deadlock)"
                 );
             }
-            self.park(st, rank, RankStatus::BlockedRecv);
+            self.suspend(st, rank, RankStatus::BlockedRecv);
         }
     }
 
@@ -494,20 +449,20 @@ impl<M> EventCore<M> {
                 st.slots[rank].stall_wake = false;
                 return None;
             }
-            self.park(st, rank, RankStatus::BlockedTimeout);
+            self.suspend(st, rank, RankStatus::BlockedTimeout);
         }
     }
 
     /// Event-mode non-blocking poll: take the handed frame, or yield
-    /// the baton once and try again. Returning `None` is possible only
-    /// after the scheduler ran — so poll loops make progress for the
-    /// whole cluster instead of spinning.
+    /// once and try again. Returning `None` is possible only after the
+    /// scheduler ran — so poll loops make progress for the whole
+    /// cluster instead of spinning.
     pub(crate) fn try_recv(&self, rank: usize) -> Option<Delivery<M>> {
         let mut st = self.lock_unpoisoned();
         if let Some(d) = st.slots[rank].inbox.take() {
             return Some(d);
         }
-        self.park(st, rank, RankStatus::PollYield);
+        self.suspend(st, rank, RankStatus::PollYield);
         self.lock_unpoisoned().slots[rank].inbox.take()
     }
 
@@ -521,24 +476,29 @@ impl<M> EventCore<M> {
                 return;
             }
             drop(st);
-            panic!("fabric mailbox closed: a rank thread exited early");
+            panic!("fabric mailbox closed: rank {dst} exited early (event engine)");
         }
         let (src, time) = (delivery.src, delivery.arrival);
         st.queue.push(time, src, (dst, delivery));
     }
 
-    /// Mark a rank finished and hand the baton on (or, if it unwound,
-    /// poison the core so every parked rank unwinds too).
-    pub(crate) fn finish_rank(&self, rank: usize, panicked: bool) {
+    /// Mark a rank finished and choose who runs next (or, if it
+    /// unwound, poison the core so every unfinished rank unwinds too).
+    fn finish_rank(&self, rank: usize, panicked: bool) {
         let mut st = self.lock();
         st.slots[rank].status = RankStatus::Done;
         st.slots[rank].inbox = None;
         if panicked {
             st.original_panicker.get_or_insert(rank);
-            self.poison(st, POISON_CASCADE);
+            st.poisoned = Some(POISON_CASCADE);
         } else {
-            self.pass_baton(st, rank);
+            self.choose_next(st, rank);
         }
+    }
+
+    /// The rank to resume next, if any rank chose one.
+    fn take_handoff(&self) -> Option<usize> {
+        self.lock().handoff.take()
     }
 
     fn original_panicker(&self) -> Option<usize> {
@@ -550,15 +510,21 @@ impl<M> EventCore<M> {
 // The event-driven cluster runner
 // ----------------------------------------------------------------------
 
-/// Stack size for rank threads under the event engine. Rank threads
-/// never run concurrently — they are coroutine frames — so a modest
-/// fixed stack keeps 1024-rank jobs cheap.
+/// Stack size of each rank's context under the event engine. Only one
+/// rank runs at a time, and a rank touches only the pages it uses, so a
+/// 1024-rank job reserves 2 GiB of address space but little memory.
 const RANK_STACK_BYTES: usize = 2 << 20;
 
 /// [`crate::run_cluster`]'s event-driven twin: run `f` once per rank as
 /// a cooperatively scheduled state machine. Same contract — per-rank
 /// results in rank order, panics propagate — but only one rank ever
 /// executes at a time, driven by the `(time, src, seq)` event queue.
+///
+/// Every rank is a stackful context on the calling thread. The runner
+/// resumes the rank the scheduler chose; that rank runs until it parks
+/// or finishes, having chosen the next one, and the runner resumes
+/// that. Around each resume the runner swaps the rank's observability
+/// state ([`obs::swap_context`]) in and back out.
 pub fn run_cluster_event<M, R, F>(topo: Topology, f: F) -> Vec<R>
 where
     M: Send + 'static,
@@ -569,30 +535,48 @@ where
     let core: Arc<EventCore<M>> = Arc::new(EventCore::new(n));
     let f = &f;
     type Caught<R> = Result<R, Box<dyn Any + Send>>;
-    let mut results: Vec<Caught<R>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for rank in 0..n {
+    let slots: Vec<Mutex<Option<Caught<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let mut ranks: Vec<(Context<'_>, obs::RankContext)> = slots
+        .iter()
+        .enumerate()
+        .map(|(rank, slot)| {
             let ep = Endpoint::new_event(rank, topo, core.clone());
             let core = core.clone();
-            let h = std::thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(RANK_STACK_BYTES)
-                .spawn_scoped(scope, move || {
-                    core.start_wait(rank);
-                    let out = catch_unwind(AssertUnwindSafe(|| f(ep)));
-                    core.finish_rank(rank, out.is_err());
-                    out
-                })
-                .expect("spawn rank thread");
-            handles.push(h);
-        }
-        core.register_threads(handles.iter().map(|h| h.thread().clone()).collect());
-        core.hand_off(0);
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(Err))
-            .collect()
-    });
+            let body = move || {
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    core.start_wait();
+                    f(ep)
+                }));
+                core.finish_rank(rank, out.is_err());
+                *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+            };
+            let ctx = Context::new(RANK_STACK_BYTES, body)
+                .unwrap_or_else(|e| panic!("cannot map the stack of rank {rank}: {e}"));
+            (ctx, obs::RankContext::default())
+        })
+        .collect();
+    let mut next = Some(0);
+    while let Some(rank) = next {
+        run_turn(&mut ranks[rank]);
+        next = core.take_handoff();
+    }
+    // Nobody was chosen: every rank is done, or the core is poisoned and
+    // each unfinished rank unwinds as soon as it runs again.
+    for rank in ranks.iter_mut().filter(|(ctx, _)| !ctx.is_done()) {
+        run_turn(rank);
+    }
+    if let Some(rank) = ranks.iter().position(|(ctx, _)| !ctx.is_done()) {
+        panic!("event engine: rank {rank} did not unwind after the engine was poisoned");
+    }
+    drop(ranks);
+    let mut results: Vec<Caught<R>> = slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("a finished rank left its result")
+        })
+        .collect();
     // Re-throw the first panic from the rank that caused it, not from
     // a rank that merely unwound in the cascade.
     if let Some(r) = core.original_panicker() {
@@ -609,6 +593,13 @@ where
             Err(payload) => resume_unwind(payload),
         })
         .collect()
+}
+
+/// Give one rank a turn, with its observability state swapped in.
+fn run_turn((ctx, obs): &mut (Context<'_>, obs::RankContext)) {
+    obs::swap_context(obs);
+    ctx.resume();
+    obs::swap_context(obs);
 }
 
 #[cfg(test)]
@@ -686,7 +677,7 @@ mod tests {
     #[test]
     fn event_engine_poll_loops_make_progress() {
         // Rank 1 spins on try_recv until the frame shows up; the yield
-        // must hand the baton to rank 0 so the send ever happens.
+        // must let rank 0 run so the send ever happens.
         let results = run_cluster_event::<u32, u32, _>(Topology::new(2, 1), |mut ep| {
             if ep.rank() == 0 {
                 ep.send(1, VTime::ZERO, 8, &params(), 77).unwrap();
@@ -706,10 +697,10 @@ mod tests {
     #[should_panic(expected = "rank 2 failed")]
     fn event_rank_panic_propagates() {
         // When rank 2 panics, every other rank is parked in a different
-        // state, and the poison must reach each one: rank 0 in
-        // `BlockedRecv`, rank 1 in `BlockedTimeout`, rank 3 in
-        // `PollYield`, and rank 4 not yet started. A missed wake would
-        // hang the join instead of re-throwing rank 2's payload.
+        // state, and each must unwind: rank 0 in `BlockedRecv`, rank 1
+        // in `BlockedTimeout`, rank 3 in `PollYield`, and rank 4 not yet
+        // started. A rank left suspended would fail the runner instead
+        // of re-throwing rank 2's payload.
         run_cluster_event::<u32, (), _>(Topology::new(5, 1), |mut ep| match ep.rank() {
             0 => {
                 ep.recv_blocking();
@@ -733,6 +724,55 @@ mod tests {
         });
     }
 
+    /// A rank whose unwinding reaches a schedule point must abort the
+    /// process, naming itself, rather than switch to another rank with
+    /// the shared panic count still raised. Runs in a child process
+    /// re-executing this test.
+    #[cfg(unix)]
+    #[test]
+    fn parking_while_unwinding_aborts_naming_the_rank() {
+        use std::os::unix::process::ExitStatusExt;
+        const CHILD: &str = "SIMFABRIC_PARK_WHILE_UNWINDING_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            struct PollOnDrop<'a>(&'a mut Endpoint<u32>);
+            impl Drop for PollOnDrop<'_> {
+                fn drop(&mut self) {
+                    self.0.try_recv();
+                }
+            }
+            run_cluster_event::<u32, (), _>(Topology::new(2, 1), |mut ep| {
+                if ep.rank() == 0 {
+                    // Stays runnable, so rank 1's park picks it.
+                    loop {
+                        ep.try_recv();
+                    }
+                }
+                let _poll = PollOnDrop(&mut ep);
+                panic!("rank 1 unwinds");
+            });
+            std::process::exit(0);
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "event::tests::parking_while_unwinding_aborts_naming_the_rank",
+            ])
+            .args(["--test-threads", "1", "--nocapture"])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.signal(),
+            Some(6),
+            "want SIGABRT; stderr:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("rank 1 tried to park while unwinding"),
+            "stderr:\n{stderr}"
+        );
+    }
+
     /// One rank's receives in order: (source, arrival ns bits, payload).
     type Received = Vec<(usize, u64, u64)>;
 
@@ -750,8 +790,8 @@ mod tests {
     /// `recv_blocking`, a `try_recv` poll loop, or `recv_timeout`.
     /// Afterwards some ranks make a last `recv_timeout` that no frame
     /// can satisfy, which the event engine answers with stall wakes.
-    /// Rank 0's first send goes to rank `n - 1`, whose thread may not
-    /// have reached its first park when the baton is handed to it.
+    /// Rank 0's first send goes to rank `n - 1`, which is then resumed
+    /// for the first time holding a frame.
     fn mixed_receive_program(mode: EngineMode, topo: Topology, seed: u64) -> Vec<Received> {
         const ROUNDS: usize = 3;
         let n = topo.size();

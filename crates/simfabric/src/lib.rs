@@ -25,6 +25,7 @@
 //! rank (i.e. no wildcard-source receives) produces bit-identical virtual
 //! times on every run, regardless of OS scheduling.
 
+mod context;
 pub mod endpoint;
 pub mod event;
 pub mod fault;
