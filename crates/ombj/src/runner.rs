@@ -141,16 +141,56 @@ pub fn run(spec: RunSpec) -> Option<Series> {
     run_with_obs(spec, obs::ObsOptions::default()).0
 }
 
+impl RunSpec {
+    /// The job configuration this run launches, observed under `o`.
+    pub fn config(&self, o: obs::ObsOptions) -> JobConfig {
+        let cfg = self
+            .library
+            .config(self.topo)
+            .with_engine(self.engine)
+            .with_obs(o);
+        match self.faults {
+            Some(plan) => cfg.with_faults(plan),
+            None => cfg,
+        }
+    }
+
+    /// One rank's part of the benchmark: the measured points, and the
+    /// overlap breakdown of a non-blocking collective.
+    pub fn run_rank(&self, env: &mut Env) -> BindResult<RankPoints> {
+        let (opts, api) = (&self.opts, self.api);
+        Ok(match self.benchmark {
+            Benchmark::Latency => (lat_impl(env, opts, api)?, None),
+            Benchmark::Bandwidth => (bandwidth(env, opts, api)?, None),
+            Benchmark::BiBandwidth => (bibandwidth(env, opts, api)?, None),
+            Benchmark::PutLatency => (crate::rma::put_latency(env, opts, api)?, None),
+            Benchmark::GetBandwidth => (crate::rma::get_bw(env, opts, api)?, None),
+            Benchmark::PutBiBandwidth => (crate::rma::put_bibw(env, opts, api)?, None),
+            Benchmark::Collective(op) => (collective(env, opts, api, op)?, None),
+            Benchmark::NonBlocking { op, overlap } => {
+                let pts = nb_collective(env, opts, api, op, overlap)?;
+                let latency = pts
+                    .iter()
+                    .map(|p| SizeValue {
+                        size: p.size,
+                        value: p.overall_us,
+                    })
+                    .collect();
+                (latency, Some(pts))
+            }
+        })
+    }
+}
+
+/// What [`RunSpec::run_rank`] measured on one rank.
+pub type RankPoints = (Vec<SizeValue>, Option<Vec<OverlapPoint>>);
+
 /// Execute a run and also harvest the per-rank observability recorders
 /// (pvars always; trace events when `o.tracing`). The report covers the
 /// whole job even when the series itself is unsupported.
 pub fn run_with_obs(spec: RunSpec, o: obs::ObsOptions) -> (Option<Series>, obs::JobReport) {
-    let opts = spec.opts;
-    let api = spec.api;
-    let bench = spec.benchmark;
     let crashy = spec.faults.is_some_and(|p| p.crash.is_some());
-    type RankOut = (Vec<SizeValue>, Option<Vec<OverlapPoint>>, PoolStats);
-    let f = move |env: &mut Env| -> BindResult<RankOut> {
+    let f = move |env: &mut Env| -> BindResult<(RankPoints, PoolStats)> {
         if crashy {
             // Under a crash plan, failures are data rather than panics:
             // every rank returns the typed error, its recorder drains
@@ -161,39 +201,12 @@ pub fn run_with_obs(spec: RunSpec, o: obs::ObsOptions) -> (Option<Series>, obs::
                 .set_errhandler(w, mpisim::Errhandler::ErrorsReturn)
                 .expect("world accepts an errhandler");
         }
-        let (points, overlap) = match bench {
-            Benchmark::Latency => (lat_impl(env, &opts, api)?, None),
-            Benchmark::Bandwidth => (bandwidth(env, &opts, api)?, None),
-            Benchmark::BiBandwidth => (bibandwidth(env, &opts, api)?, None),
-            Benchmark::PutLatency => (crate::rma::put_latency(env, &opts, api)?, None),
-            Benchmark::GetBandwidth => (crate::rma::get_bw(env, &opts, api)?, None),
-            Benchmark::PutBiBandwidth => (crate::rma::put_bibw(env, &opts, api)?, None),
-            Benchmark::Collective(op) => (collective(env, &opts, api, op)?, None),
-            Benchmark::NonBlocking { op, overlap } => {
-                let pts = nb_collective(env, &opts, api, op, overlap)?;
-                let latency = pts
-                    .iter()
-                    .map(|p| SizeValue {
-                        size: p.size,
-                        value: p.overall_us,
-                    })
-                    .collect();
-                (latency, Some(pts))
-            }
-        };
-        Ok((points, overlap, env.pool_stats()))
+        Ok((spec.run_rank(env)?, env.pool_stats()))
     };
-    let mut cfg = spec
-        .library
-        .config(spec.topo)
-        .with_engine(spec.engine)
-        .with_obs(o);
-    if let Some(plan) = spec.faults {
-        cfg = cfg.with_faults(plan);
-    }
+    let cfg = spec.config(o);
     let (results, report) = run_job_with_obs(cfg, f);
     let series = match results.into_iter().next().expect("rank 0 exists") {
-        Ok((points, overlap, pool)) => Some(Series {
+        Ok(((points, overlap), pool)) => Some(Series {
             label: format!("{} {}", spec.library.label(), spec.api.label()),
             benchmark: spec.benchmark.name(),
             unit: spec.benchmark.unit(),

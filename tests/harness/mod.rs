@@ -14,6 +14,8 @@
 use mvapich2j::datatype::INT;
 use mvapich2j::{Env, ReduceOp};
 
+pub mod pins;
+
 /// Deterministic generator shared by every rank (same draws everywhere).
 pub struct Lcg(u64);
 
