@@ -36,9 +36,9 @@
 //! * **Cheap when off.** Every free function opens with one relaxed load
 //!   of a thread-local gate word and returns if no sink wants the record
 //!   — no `RefCell` borrow, no argument-vector allocation downstream
-//!   (callers check [`tracing_enabled`] first). The perf basket tracks
-//!   the obs-on/obs-off spread so regressions here are a number, not a
-//!   feeling.
+//!   (callers check [`tracing_enabled`] first). perfbench prices the
+//!   enabled path (`obs.busy_s`, `obs.records_per_op`) so regressions
+//!   here are a number, not a feeling.
 
 pub mod analyze;
 pub mod flight;
