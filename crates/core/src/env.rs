@@ -130,6 +130,9 @@ where
     F: Fn(&mut Env) -> R + Sync,
 {
     use std::sync::Mutex;
+    if let Some(Err(e)) = cfg.faults.map(|plan| plan.check_ranks(cfg.topo.size())) {
+        panic!("fault plan: {e}");
+    }
     let reports: Mutex<Vec<(obs::RankReport, f64)>> = Mutex::new(Vec::new());
     let wall_start = std::time::Instant::now();
     let results = run_cluster_on::<Frame, R, _>(cfg.engine, cfg.topo, |mut ep| {

@@ -195,6 +195,9 @@ where
     R: Send,
     F: Fn(&mut Mpi) -> R + Sync,
 {
+    if let Err(e) = plan.check_ranks(topo.size()) {
+        panic!("fault plan: {e}");
+    }
     run_cluster_on::<Frame, R, _>(mode, topo, |mut ep| {
         ep.install_faults(plan);
         let mut mpi = Mpi::new(ep, profile);

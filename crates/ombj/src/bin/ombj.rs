@@ -254,7 +254,24 @@ fn main() {
         std::process::exit(2);
     }
 
+    if nodes == 0 || ppn == 0 {
+        eprintln!("error: --nodes and --ppn must be at least 1 (got {nodes} x {ppn})");
+        std::process::exit(2);
+    }
     let topo = Topology::new(nodes, ppn);
+    if topo.size() < benchmark.min_ranks() {
+        eprintln!(
+            "error: {} needs at least {} ranks; --nodes {nodes} --ppn {ppn} gives {}",
+            benchmark.name(),
+            benchmark.min_ranks(),
+            topo.size()
+        );
+        std::process::exit(2);
+    }
+    if let Some(Err(e)) = faults.map(|plan| plan.check_ranks(topo.size())) {
+        eprintln!("error: bad --faults spec: {e}");
+        std::process::exit(2);
+    }
     if compare {
         let mut series = Vec::new();
         for lib in [Library::Mvapich2J, Library::OpenMpiJ] {

@@ -81,6 +81,15 @@ impl Benchmark {
         }
     }
 
+    /// Ranks the benchmark needs: point-to-point and one-sided ones run
+    /// between ranks 0 and 1.
+    pub fn min_ranks(self) -> usize {
+        match self {
+            Benchmark::Collective(_) | Benchmark::NonBlocking { .. } => 1,
+            _ => 2,
+        }
+    }
+
     /// Metric unit.
     pub fn unit(self) -> &'static str {
         match self {

@@ -154,6 +154,26 @@ impl FaultPlan {
             || self.link_drop.is_some()
     }
 
+    /// Check that every rank the plan names (crash, slow, and both ends
+    /// of the delay and linkdrop links) is one of a job's `size` ranks.
+    /// A fault aimed outside the job would silently never fire.
+    pub fn check_ranks(&self, size: usize) -> Result<(), String> {
+        let named = [
+            self.crash.map(|(r, _)| ("crash", r)),
+            self.slowdown.map(|(r, _)| ("slow", r)),
+            self.link_delay.map(|(s, _, _)| ("delay", s)),
+            self.link_delay.map(|(_, d, _)| ("delay", d)),
+            self.link_drop.map(|(s, _, _)| ("linkdrop", s)),
+            self.link_drop.map(|(_, d, _)| ("linkdrop", d)),
+        ];
+        match named.into_iter().flatten().find(|&(_, r)| r >= size) {
+            Some((key, r)) => Err(format!(
+                "{key} names rank {r}, but the job has {size} ranks (0..{size})"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Parse a `--faults` specification: comma-separated `key=value`
     /// entries.
     ///
@@ -305,6 +325,29 @@ mod tests {
         assert!(FaultPlan::parse("crash=1").is_err());
         assert!(FaultPlan::parse("delay=01:5").is_err());
         assert!(FaultPlan::parse("slow=1:0.5").is_err());
+    }
+
+    #[test]
+    fn ranks_outside_the_job_are_rejected_naming_rank_and_size() {
+        for (spec, key, rank) in [
+            ("crash=9@100", "crash", 9),
+            ("slow=2:2.0", "slow", 2),
+            ("delay=0-9:100", "delay", 9),
+            ("delay=5-0:100", "delay", 5),
+            ("linkdrop=7-0:0.5", "linkdrop", 7),
+            ("linkdrop=1-2:0.5", "linkdrop", 2),
+        ] {
+            let plan = FaultPlan::parse(spec).unwrap();
+            assert_eq!(
+                plan.check_ranks(2),
+                Err(format!(
+                    "{key} names rank {rank}, but the job has 2 ranks (0..2)"
+                )),
+                "{spec}"
+            );
+            assert_eq!(plan.check_ranks(rank + 1), Ok(()), "{spec}");
+        }
+        assert_eq!(FaultPlan::parse("drop=0.5").unwrap().check_ranks(1), Ok(()));
     }
 
     #[test]

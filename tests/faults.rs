@@ -249,3 +249,13 @@ fn crashed_rank_surfaces_rank_failed_from_nonblocking_wait() {
         );
     }
 }
+
+#[test]
+#[should_panic(expected = "fault plan: linkdrop names rank 3, but the job has 2 ranks")]
+fn a_plan_naming_a_rank_outside_the_job_fails_before_any_rank_starts() {
+    let plan = FaultPlan::parse("linkdrop=0-3:0.5").unwrap();
+    run_job(
+        JobConfig::mvapich2j(Topology::new(2, 1)).with_faults(plan),
+        |_| unreachable!("no rank may start under a plan that names rank 3"),
+    );
+}
