@@ -22,9 +22,9 @@ pub enum Work {
 
 /// What one profiled job did, summed over its ranks.
 pub struct JobWork {
-    pub perf: SimPerf,
-    pub pvars: PvarSet,
-    pub wire_bytes: u64,
+    perf: SimPerf,
+    pvars: PvarSet,
+    wire_bytes: u64,
 }
 
 impl JobWork {
@@ -48,7 +48,8 @@ fn name(w: Work) -> &'static str {
 /// Run `spec` profiled, each rank calling `prelude` first, and require
 /// every rank to complete and rank 0 to measure a positive value at
 /// every size. Then each of `pins` must equal the value at the same
-/// index of `want`; an empty `want` pins nothing. `job` names the run in a failure message.
+/// index of `want`; an empty `want` pins nothing. `job` names the run
+/// in a failure message.
 pub fn assert_pinned(
     job: &str,
     spec: RunSpec,
