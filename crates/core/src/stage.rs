@@ -9,6 +9,7 @@
 
 use mpisim::datatype::Datatype;
 use mrt::{DirectBuffer, Handle, MrtError, MrtResult, Runtime};
+use obs::wallprof::{self, Counter};
 use vtime::Clock;
 
 use crate::request::ArrayDest;
@@ -67,6 +68,7 @@ pub(crate) fn stage_from_array_at(
         }
         debug_assert_eq!(pos, store_off + packed);
     }
+    wallprof::add(Counter::CopyBytes, packed as u64);
     if obs::tracing_enabled() {
         obs::span(
             "stage",
@@ -141,6 +143,7 @@ pub(crate) fn unstage_to_array_at(
             }
         }
     }
+    wallprof::add(Counter::CopyBytes, (full * elem) as u64);
     if obs::tracing_enabled() {
         obs::span(
             "unstage",

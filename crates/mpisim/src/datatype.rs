@@ -8,6 +8,8 @@
 //! of one element to the start of the next). Packing walks the typemap —
 //! this is exactly what a native MPI implementation's pack engine does.
 
+use obs::wallprof::{self, Counter};
+
 use crate::error::{MpiError, MpiResult};
 
 /// The basic (primitive) Java datatypes MVAPICH2-J communicates.
@@ -369,6 +371,7 @@ impl Datatype {
         self.for_each_run(count, |off, len| {
             out.extend_from_slice(&src[off..off + len])
         });
+        wallprof::add(Counter::CopyBytes, out.len() as u64);
         Ok(out)
     }
 
@@ -421,6 +424,7 @@ impl Datatype {
                 }
             }
         }
+        wallprof::add(Counter::CopyBytes, data.len() as u64);
         Ok(data.len())
     }
 }

@@ -68,7 +68,7 @@ pub const SUBSYSTEM_NAMES: [&str; NSUBS] = [
 ];
 
 /// Number of flat counters (== `COUNTER_NAMES.len()`).
-pub const NCOUNTERS: usize = 9;
+pub const NCOUNTERS: usize = 10;
 
 /// Flat wall-side counters. These mirror some pvars but live outside the
 /// determinism digests, so they may count real-time-dependent work (e.g.
@@ -94,6 +94,12 @@ pub enum Counter {
     Messages = 7,
     /// Pvar/trace record operations.
     ObsRecords = 8,
+    /// Payload bytes copied on the host along the point-to-point and
+    /// one-sided paths: datatype pack/unpack, the engine's frame capture
+    /// and window deposits, and the bindings' receive deposits, staging
+    /// gathers/scatters and window synchronization. Collective-internal
+    /// fragment copies are not counted.
+    CopyBytes = 9,
 }
 
 /// Display names, indexed by `Counter as usize`.
@@ -107,6 +113,7 @@ pub const COUNTER_NAMES: [&str; NCOUNTERS] = [
     "allocs",
     "messages",
     "obs_records",
+    "copy_bytes",
 ];
 
 /// Per-thread profiling state. `Cell`-based so the hot probes never pay
@@ -478,10 +485,11 @@ impl SimPerf {
             self.vns_per_wall_sec()
         ));
         out.push_str(&format!(
-            "#   allocs/msg   {:>12.2}  (allocs {}, messages {})\n",
+            "#   allocs/msg   {:>12.2}  (allocs {}, messages {}, copy bytes {})\n",
             self.allocs_per_msg(),
             t.counter(Counter::Allocs),
             t.counter(Counter::Messages),
+            t.counter(Counter::CopyBytes),
         ));
         let scans = t.counter(Counter::MatchScans);
         let cmps = t.counter(Counter::MatchComparisons);
