@@ -40,8 +40,8 @@ pub use datatype::{BasicType, Datatype};
 pub use engine::{Completion, Envelope, Frame, Request, Status, Wire, ANY_SOURCE, ANY_TAG, TAG_UB};
 pub use error::{MpiError, MpiResult};
 pub use mpi::{
-    run_mpi, run_mpi_faulty, run_mpi_faulty_on, run_mpi_on, Errhandler, Mpi, MpiRequest, RmaGet,
-    Win,
+    run_mpi, run_mpi_faulty, run_mpi_faulty_on, run_mpi_on, Deposits, Errhandler, Mpi, MpiRequest,
+    RmaGet, Win,
 };
 pub use op::ReduceOp;
 pub use profile::{CollTuning, PathParams, Profile};

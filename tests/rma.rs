@@ -365,3 +365,76 @@ fn dead_target_nic_surfaces_rank_failed_within_watchdog() {
     );
     assert_eq!(results[1], None);
 }
+
+/// A local store and a put that hit the same byte in one epoch is
+/// erroneous under MPI. The simulator resolves it for the deposit: the
+/// closing fence publishes the owner's image everywhere except the byte
+/// ranges remote deposits wrote (DESIGN.md §11), whether the put landed
+/// before the fence or during it. Bytes outside the put keep the store.
+#[test]
+fn a_put_wins_over_a_local_store_to_the_same_bytes() {
+    for kind in [WinKind::Buffer, WinKind::Array] {
+        for put_lands_first in [true, false] {
+            let results = run_job(JobConfig::mvapich2j(Topology::single_node(2)), move |env| {
+                let w = env.world();
+                let (win, storage) = match kind {
+                    WinKind::Buffer => {
+                        let buf = env.new_direct(WIN);
+                        (env.win_create_buffer(buf, w).unwrap(), Storage::Buffer(buf))
+                    }
+                    WinKind::Array => {
+                        let arr = env.new_array::<i8>(WIN).unwrap();
+                        (env.win_create_array(arr, w).unwrap(), Storage::Array(arr))
+                    }
+                };
+                env.win_fence(win).unwrap();
+                if put_lands_first {
+                    env.barrier(w).unwrap();
+                }
+                if env.rank() == 0 {
+                    let origin = env.new_direct(PUT.len());
+                    for (i, &v) in PUT.iter().enumerate() {
+                        env.direct_put(origin, i, v as i8).unwrap();
+                    }
+                    env.put_buffer(win, origin, PUT.len() as i32, &BYTE, 1, 8)
+                        .unwrap();
+                }
+                if put_lands_first {
+                    env.barrier(w).unwrap();
+                }
+                // Rank 1 stores 0xee into bytes [4, 12): half beside the
+                // put, half under it.
+                let store = [0xeeu8 as i8; 8];
+                if env.rank() == 1 {
+                    match storage {
+                        Storage::Buffer(buf) => {
+                            for (i, &v) in store.iter().enumerate() {
+                                env.direct_put(buf, 4 + i, v).unwrap();
+                            }
+                        }
+                        Storage::Array(arr) => env.array_write(arr, 4, &store).unwrap(),
+                    }
+                }
+                env.win_fence(win).unwrap();
+                let mut out = vec![0i8; WIN];
+                match storage {
+                    Storage::Buffer(buf) => {
+                        for (i, v) in out.iter_mut().enumerate() {
+                            *v = env.direct_get(buf, i).unwrap();
+                        }
+                    }
+                    Storage::Array(arr) => env.array_read(arr, 0, &mut out).unwrap(),
+                }
+                env.win_free(win).unwrap();
+                out.into_iter().map(|b| b as u8).collect::<Vec<u8>>()
+            });
+            let mut want = vec![0u8; WIN];
+            want[4..8].fill(0xee);
+            want[8..24].copy_from_slice(&PUT);
+            assert_eq!(
+                results[1], want,
+                "{kind:?} window, put lands first: {put_lands_first}"
+            );
+        }
+    }
+}
