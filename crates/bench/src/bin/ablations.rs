@@ -68,7 +68,7 @@ fn pool_ablation() {
 }
 
 /// 2. JNI array-access strategies: cost to expose a 1 MiB array to native
-/// code and hand any changes back.
+///    code and hand any changes back.
 fn jni_strategy_ablation() {
     println!("== ablation 2: JNI array-access strategy (1 MiB array, virtual us)\n");
     let cost = CostModel::default();

@@ -352,7 +352,8 @@ fn comm_split_and_collectives_on_subcomm() {
         let recv = env.new_array::<i32>(1).unwrap();
         env.allreduce_array(send, recv, 1, ReduceOp::Sum, sub)
             .unwrap();
-        let want = if color == 0 { 0 + 2 } else { 1 + 3 };
+        // Sum of the member ranks: 0 + 2 or 1 + 3.
+        let want = if color == 0 { 2 } else { 4 };
         assert_eq!(env.array_get(recv, 0).unwrap(), want);
         env.comm_free(sub).unwrap();
     });

@@ -42,7 +42,7 @@ macro_rules! typed_roundtrip {
 
 // SendRecvTest for every primitive type (MPJ Express: ByteTest.java etc.)
 typed_roundtrip!(sendrecv_byte, i8, |i: usize| (i as i8).wrapping_mul(3));
-typed_roundtrip!(sendrecv_boolean, bool, |i: usize| i % 3 == 0);
+typed_roundtrip!(sendrecv_boolean, bool, |i: usize| i.is_multiple_of(3));
 typed_roundtrip!(sendrecv_char, u16, |i: usize| 0x2600 + i as u16);
 typed_roundtrip!(sendrecv_short, i16, |i: usize| (i as i16) - 7);
 typed_roundtrip!(sendrecv_int, i32, |i: usize| (i as i32).wrapping_mul(-97));
@@ -266,10 +266,10 @@ fn vectored_collectives_buffers() {
         let recv = env.new_direct(4 * total as usize);
         env.allgatherv_buffer(send, me as i32 + 1, recv, &counts, &displs, &INT, w)
             .unwrap();
-        for r in 0..p {
+        for (r, &disp) in displs.iter().enumerate() {
             for i in 0..=r {
                 assert_eq!(
-                    env.direct_get::<i32>(recv, (displs[r] as usize + i) * 4)
+                    env.direct_get::<i32>(recv, (disp as usize + i) * 4)
                         .unwrap(),
                     (r * 100 + i) as i32,
                     "allgatherv rank {r} element {i}"

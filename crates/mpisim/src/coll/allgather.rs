@@ -85,6 +85,7 @@ pub fn allgather(
 
 /// MPI_Allgatherv: ring with per-rank block sizes. `recvcounts`/`displs`
 /// are in elements and must be identical on all ranks (MPI requirement).
+#[allow(clippy::too_many_arguments)]
 pub fn allgatherv(
     mpi: &mut Mpi,
     send: &[u8],

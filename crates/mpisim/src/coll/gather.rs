@@ -371,17 +371,8 @@ mod tests {
             let displs = [0, 1, 3, 6];
             let mut recv = vec![0u8; 4 * 10];
             let out = (me == 0).then_some(&mut recv[..]);
-            mpi.gatherv(
-                &send,
-                me as i32 + 1,
-                out,
-                &recvcounts.map(|x| x as i32),
-                &displs.map(|x| x as i32),
-                &INT,
-                0,
-                w,
-            )
-            .unwrap();
+            mpi.gatherv(&send, me as i32 + 1, out, &recvcounts, &displs, &INT, 0, w)
+                .unwrap();
             (me == 0).then(|| to_ints(&recv))
         });
         let got = res[0].clone().unwrap();

@@ -67,6 +67,7 @@ fn unpack_charged(
 }
 
 /// MPI_Reduce: binomial tree rooted at `root`.
+#[allow(clippy::too_many_arguments)]
 pub fn reduce(
     mpi: &mut Mpi,
     send: &[u8],
@@ -187,7 +188,7 @@ pub(super) fn flat(
     // Fold phase: the first 2*rem ranks pair up; evens push their vector
     // into odds, halving the active set to a power of two.
     let newrank: Option<usize> = if me < 2 * rem {
-        if me % 2 == 0 {
+        if me.is_multiple_of(2) {
             csend(mpi, c, acc, me + 1, tags::ALLREDUCE + 1)?;
             None
         } else {
@@ -238,7 +239,7 @@ fn flat_rd_or_raben(
     let rem = p - pof2;
     let me = c.me;
     let newrank: Option<usize> = if me < 2 * rem {
-        if me % 2 == 0 {
+        if me.is_multiple_of(2) {
             csend(mpi, c, acc, me + 1, tags::ALLREDUCE + 1)?;
             None
         } else {
@@ -375,6 +376,7 @@ fn prev_power_of_two(p: usize) -> usize {
 
 /// Recursive doubling among `pof2` active ranks (`real` maps new ranks to
 /// communicator ranks).
+#[allow(clippy::too_many_arguments)]
 fn recursive_doubling(
     mpi: &mut Mpi,
     c: &Cc,
@@ -403,6 +405,7 @@ fn recursive_doubling(
 
 /// Rabenseifner's algorithm among `pof2` active ranks: recursive-halving
 /// reduce-scatter, then a mirrored recursive-doubling allgather.
+#[allow(clippy::too_many_arguments)]
 fn rabenseifner(
     mpi: &mut Mpi,
     c: &Cc,

@@ -117,7 +117,7 @@ pub fn apply(op: ReduceOp, dt: &Datatype, acc: &mut [u8], src: &[u8]) -> MpiResu
             datatype: base.name(),
         });
     }
-    if acc.len() % base.size() != 0 {
+    if !acc.len().is_multiple_of(base.size()) {
         return Err(MpiError::InvalidCount {
             count: acc.len() as i32,
         });

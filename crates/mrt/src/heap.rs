@@ -368,8 +368,8 @@ mod tests {
             h.collect(&mut c, &cost);
         }
         let data = h.bytes(keep).unwrap();
-        for i in 0..64 {
-            assert_eq!(data[i], i as u8);
+        for (i, &b) in data.iter().enumerate().take(64) {
+            assert_eq!(b, i as u8);
         }
     }
 }

@@ -133,11 +133,8 @@ fn direct_buffers_are_immune_to_gc() {
             }
             rt.gc(&mut clock);
         }
-        for i in 0..128 {
-            assert_eq!(
-                rt.direct_get::<i8>(buf, i, &mut clock).unwrap() as u8,
-                expect[i]
-            );
+        for (i, &want) in expect.iter().enumerate().take(128) {
+            assert_eq!(rt.direct_get::<i8>(buf, i, &mut clock).unwrap() as u8, want);
         }
     }
 }

@@ -175,7 +175,7 @@ mod tests {
         let iters = 16;
         let mut last_arrival = VTime::ZERO;
         for _ in 0..iters {
-            t = t + p.o_send(); // sender CPU
+            t += p.o_send(); // sender CPU
             last_arrival = link.inject(t, n, &p);
         }
         let total = last_arrival.as_nanos();

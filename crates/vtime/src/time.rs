@@ -410,7 +410,7 @@ mod tests {
 
     #[test]
     fn ordering_is_total() {
-        let mut v = vec![
+        let mut v = [
             VTime::from_nanos(3.0),
             VTime::from_nanos(1.0),
             VTime::from_nanos(2.0),

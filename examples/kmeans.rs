@@ -52,9 +52,9 @@ fn reference(n_total: usize) -> (Vec<f64>, Vec<f64>) {
     let mut cx: Vec<f64> = (0..K).map(|k| pts[k].0).collect();
     let mut cy: Vec<f64> = (0..K).map(|k| pts[k].1).collect();
     for _ in 0..ITERS {
-        let mut sx = vec![0.0; K];
-        let mut sy = vec![0.0; K];
-        let mut cnt = vec![0.0; K];
+        let mut sx = [0.0; K];
+        let mut sy = [0.0; K];
+        let mut cnt = [0.0; K];
         for &(px, py) in &pts {
             let k = assign(px, py, &cx, &cy);
             sx[k] += px;

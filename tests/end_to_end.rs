@@ -163,7 +163,7 @@ fn derived_datatype_matrix_column_exchange() {
             env.recv_array_dt(mat, 1, &col, 0, 0, w).unwrap();
             // Received column lands at stride positions from offset 0.
             for r in 0..ROWS {
-                assert_eq!(env.array_get(mat, r * COLS).unwrap(), (r * 10) as i32 + 0);
+                assert_eq!(env.array_get(mat, r * COLS).unwrap(), (r * 10) as i32);
                 // Everything else untouched.
                 assert_eq!(env.array_get(mat, r * COLS + 1).unwrap(), -1);
             }

@@ -160,7 +160,7 @@ fn pvar_deltas_match_across_engines_except_racy() {
     let event = run_on(EngineMode::EventDriven);
     let mut compared = 0usize;
     for (name, v) in event.iter() {
-        if RACY_PVARS.iter().any(|&r| r == name) {
+        if RACY_PVARS.contains(&name) {
             continue;
         }
         if let Some(c) = v.as_counter() {
@@ -198,7 +198,7 @@ fn rma_pvar_deltas_match_across_engines_except_racy() {
     let threaded = run_on(EngineMode::Threaded);
     let event = run_on(EngineMode::EventDriven);
     for (name, v) in event.iter() {
-        if !name.starts_with("rma.") || RACY_PVARS.iter().any(|&r| r == name) {
+        if !name.starts_with("rma.") || RACY_PVARS.contains(&name) {
             continue;
         }
         if let Some(c) = v.as_counter() {

@@ -388,11 +388,11 @@ pub fn rma_reference(p: usize, k: usize, seed: u64, epoch: u32) -> Vec<Vec<i32>>
     }
     if epoch >= 2 {
         // Epoch 2: all ranks accumulate Sum into block 0 of rank p-1.
-        for i in 0..k {
+        for (i, w) in wins[p - 1].iter_mut().enumerate().take(k) {
             let contrib = (0..p)
                 .map(|r| input(seed, 200, r, i))
                 .fold(0i32, |a, b| a.wrapping_add(b));
-            wins[p - 1][i] = wins[p - 1][i].wrapping_add(contrib);
+            *w = w.wrapping_add(contrib);
         }
     }
     if epoch >= 4 {
