@@ -13,6 +13,9 @@
 //!   instrumentation has zero virtual cost, so the printed figures are
 //!   bit-identical with or without this flag (a workspace test enforces
 //!   it).
+//!
+//! An unknown figure id, a missing `--only` list or an unknown argument
+//! is a usage error (exit 2) reported before any figure runs.
 
 use ombj::report::render_comparison;
 use ombj_bench::figures::summary_from;
@@ -30,6 +33,11 @@ fn print_figure(fig: &Figure) {
     println!();
 }
 
+fn usage() -> ! {
+    eprintln!("usage: figures [--only figN[,figM...]] [--quick] [--summary] [--trace]");
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut only: Option<Vec<String>> = None;
@@ -39,16 +47,18 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--only" => {
-                let v = it.next().expect("--only needs a figure list");
+                let Some(v) = it.next() else {
+                    eprintln!("error: --only needs a figure list");
+                    usage()
+                };
                 only = Some(v.split(',').map(|s| s.trim().to_string()).collect());
             }
             "--quick" => scale = Scale::Quick,
             "--summary" => summary_only = true,
             "--trace" => ombj_bench::figures::set_tracing(true),
             other => {
-                eprintln!("unknown argument {other}");
-                eprintln!("usage: figures [--only figN[,figM...]] [--quick] [--summary] [--trace]");
-                std::process::exit(2);
+                eprintln!("error: unknown argument {other}");
+                usage()
             }
         }
     }
@@ -57,6 +67,14 @@ fn main() {
         Some(list) => list.iter().map(|s| s.as_str()).collect(),
         None => all_figure_ids().to_vec(),
     };
+    // Check every id before any figure runs.
+    if let Some(bad) = ids.iter().find(|id| !all_figure_ids().contains(id)) {
+        eprintln!(
+            "error: unknown figure id `{bad}` (valid ids: {})",
+            all_figure_ids().join(", ")
+        );
+        std::process::exit(2);
+    }
 
     if summary_only {
         let summary = ombj_bench::headline_summary(scale);
