@@ -6,125 +6,27 @@
 //! possible and utilize all optimizations and advanced collective
 //! algorithms available in the native MVAPICH2 library."
 //!
-//! Array variants stage the whole participating region through a pooled
-//! direct buffer (one bulk copy each way); buffer variants hand the
-//! native library the buffer's stable storage.
+//! Each collective has one native body, over [`Region`]s: the buffer
+//! variant runs it on the caller's direct buffers, and the array variant
+//! stages the participating region through pooled direct buffers, runs
+//! the same body on their stores, then unstages and releases them.
+//!
+//! A rooted receive (reduce, gather, gatherv) is resolved by the body
+//! itself, after its address crossing, so the array variant acquires the
+//! root's receive store after the crossing: the virtual clock is a sum of
+//! `f64` charges, and their order is part of every pinned figure.
 
 use mpisim::datatype::Datatype;
-use mpisim::{CommHandle, ReduceOp};
-use mpjbuf::Buffer;
+use mpisim::{CommHandle, Mpi, MpiResult, ReduceOp};
 use mrt::prim::Prim;
 use mrt::{DirectBuffer, JArray};
 
 use crate::datatype::datatype_of;
-use crate::env::Env;
-use crate::error::{BindError, BindResult};
-use crate::request::ArrayDest;
-use crate::stage::{stage_from_array, unstage_to_array};
+use crate::env::{missing_root_buffer, Env, Region};
+use crate::error::BindResult;
+use crate::stage::Staging;
 
 impl Env {
-    /// Uncharged snapshot of a direct buffer's storage (the native
-    /// library reads it in place; the copy is a simulation artifact).
-    fn snapshot(&self, buf: DirectBuffer) -> BindResult<Vec<u8>> {
-        Ok(self.rt.direct_bytes(buf)?.to_vec())
-    }
-
-    /// Uncharged deposit back into a direct buffer (native DMA).
-    fn deposit(&mut self, buf: DirectBuffer, bytes: &[u8]) -> BindResult<()> {
-        self.rt.direct_bytes_mut(buf)?[..bytes.len()].copy_from_slice(bytes);
-        Ok(())
-    }
-
-    /// Stage the first `elems` elements of an array through a pooled
-    /// buffer: returns the staging buffer and a byte snapshot for the
-    /// native call. One charged bulk copy of exactly the participating
-    /// region.
-    pub(crate) fn stage_region<T: Prim>(
-        &mut self,
-        arr: JArray<T>,
-        elems: usize,
-    ) -> BindResult<(Buffer, Vec<u8>)> {
-        let nbytes = (elems * T::SIZE).max(1);
-        let clock = self.mpi.clock_mut();
-        let staging = Buffer::from_pool(&mut self.pool, &mut self.rt, clock, nbytes);
-        let dt = datatype_of::<T>();
-        stage_from_array(
-            &mut self.rt,
-            clock,
-            staging.store(),
-            arr.handle(),
-            0,
-            elems,
-            &dt,
-        )?;
-        let bytes = self.rt.direct_bytes(staging.store())?[..elems * T::SIZE].to_vec();
-        Ok((staging, bytes))
-    }
-
-    /// Acquire a staging buffer for `elems` received elements without
-    /// copying in.
-    pub(crate) fn stage_empty<T: Prim>(
-        &mut self,
-        _arr: JArray<T>,
-        elems: usize,
-    ) -> BindResult<Buffer> {
-        let nbytes = (elems * T::SIZE).max(1);
-        let clock = self.mpi.clock_mut();
-        Ok(Buffer::from_pool(
-            &mut self.pool,
-            &mut self.rt,
-            clock,
-            nbytes,
-        ))
-    }
-
-    /// Deposit `bytes` into the staging buffer (uncharged: native DMA),
-    /// scatter them into the first `bytes.len()` bytes of the array
-    /// (charged), and return the staging buffer to the pool.
-    fn unstage_region<T: Prim>(
-        &mut self,
-        staging: Buffer,
-        arr: JArray<T>,
-        bytes: &[u8],
-    ) -> BindResult<()> {
-        self.rt.direct_bytes_mut(staging.store())?[..bytes.len()].copy_from_slice(bytes);
-        let dt = datatype_of::<T>();
-        let dest = ArrayDest {
-            handle: arr.handle(),
-            byte_off: 0,
-            byte_len: arr.byte_len(),
-        };
-        let elems = bytes.len() / T::SIZE;
-        let clock = self.mpi.clock_mut();
-        unstage_to_array(
-            &mut self.rt,
-            clock,
-            staging.store(),
-            &dest,
-            elems,
-            &dt,
-            bytes.len(),
-        )?;
-        let clock = self.mpi.clock_mut();
-        staging.free(&mut self.pool, &mut self.rt, clock);
-        Ok(())
-    }
-
-    /// Return a staging buffer without unstaging (send side).
-    fn release_staging(&mut self, staging: Buffer) {
-        let clock = self.mpi.clock_mut();
-        staging.free(&mut self.pool, &mut self.rt, clock);
-    }
-
-    fn charge_addr(&mut self) {
-        let cost = *self.rt.cost();
-        let clock = self.mpi.clock_mut();
-        clock.charge(cost.jni_transition());
-        clock.charge(vtime::VDur::from_nanos(
-            cost.jni.get_direct_buffer_address_ns,
-        ));
-    }
-
     // ------------------------------------------------------------------
     // Barrier
     // ------------------------------------------------------------------
@@ -134,6 +36,226 @@ impl Env {
         self.binding_call();
         self.mpi.barrier(comm)?;
         Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Native bodies. Each crosses the boundary once, on the region every
+    // rank names; the other region is an uncharged snapshot. The three
+    // shapes below hold the root checks and the deposit for every
+    // collective but bcast.
+    // ------------------------------------------------------------------
+
+    /// Every rank sends `send` and receives into `recv`.
+    fn exchange(
+        &mut self,
+        send: Region,
+        recv: Region,
+        call: impl FnOnce(&mut Mpi, &[u8], &mut [u8]) -> MpiResult<()>,
+    ) -> BindResult<()> {
+        let sendbytes = self.crossing(send)?;
+        let mut temp = self.snapshot(recv)?;
+        call(&mut self.mpi, &sendbytes, &mut temp)?;
+        self.deposit(recv, &temp)
+    }
+
+    /// Every rank sends `send`; the root receives into the region `recv`
+    /// resolves, which must exist there (the error names `needed` bytes).
+    fn collect(
+        &mut self,
+        send: Region,
+        recv: impl FnOnce(&mut Self) -> BindResult<Option<Region>>,
+        root: usize,
+        comm: CommHandle,
+        needed: usize,
+        call: impl FnOnce(&mut Mpi, &[u8], Option<&mut [u8]>) -> MpiResult<()>,
+    ) -> BindResult<()> {
+        let sendbytes = self.crossing(send)?;
+        if self.mpi.rank(comm)? != root {
+            return Ok(call(&mut self.mpi, &sendbytes, None)?);
+        }
+        let out = recv(self)?.ok_or(missing_root_buffer(needed))?;
+        let mut temp = self.snapshot(out)?;
+        call(&mut self.mpi, &sendbytes, Some(&mut temp))?;
+        self.deposit(out, &temp)
+    }
+
+    /// The root sends `send`, which must exist there; every rank receives
+    /// into `recv`.
+    fn distribute(
+        &mut self,
+        send: Option<Region>,
+        recv: Region,
+        root: usize,
+        comm: CommHandle,
+        call: impl FnOnce(&mut Mpi, Option<&[u8]>, &mut [u8]) -> MpiResult<()>,
+    ) -> BindResult<()> {
+        let mut temp = self.crossing(recv)?;
+        let sendbytes = if self.mpi.rank(comm)? == root {
+            Some(self.snapshot(send.ok_or(missing_root_buffer(0))?)?)
+        } else {
+            None
+        };
+        call(&mut self.mpi, sendbytes.as_deref(), &mut temp)?;
+        self.deposit(recv, &temp)
+    }
+
+    fn bcast_native(
+        &mut self,
+        buf: Region,
+        count: i32,
+        dt: &Datatype,
+        root: usize,
+        comm: CommHandle,
+    ) -> BindResult<()> {
+        let mut temp = self.crossing(buf)?;
+        self.mpi.bcast(&mut temp, count, dt, root, comm)?;
+        self.deposit(buf, &temp)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn reduce_native(
+        &mut self,
+        send: Region,
+        recv: impl FnOnce(&mut Self) -> BindResult<Option<Region>>,
+        count: i32,
+        dt: &Datatype,
+        op: ReduceOp,
+        root: usize,
+        comm: CommHandle,
+    ) -> BindResult<()> {
+        let needed = dt.span(count.max(0) as usize);
+        self.collect(send, recv, root, comm, needed, |m, s, r| {
+            m.reduce(s, r, count, dt, op, root, comm)
+        })
+    }
+
+    fn allreduce_native(
+        &mut self,
+        send: Region,
+        recv: Region,
+        count: i32,
+        dt: &Datatype,
+        op: ReduceOp,
+        comm: CommHandle,
+    ) -> BindResult<()> {
+        self.exchange(send, recv, |m, s, r| m.allreduce(s, r, count, dt, op, comm))
+    }
+
+    fn gather_native(
+        &mut self,
+        send: Region,
+        recv: impl FnOnce(&mut Self) -> BindResult<Option<Region>>,
+        count: i32,
+        dt: &Datatype,
+        root: usize,
+        comm: CommHandle,
+    ) -> BindResult<()> {
+        self.collect(send, recv, root, comm, 0, |m, s, r| {
+            m.gather(s, r, count, dt, root, comm)
+        })
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn gatherv_native(
+        &mut self,
+        send: Region,
+        sendcount: i32,
+        recv: impl FnOnce(&mut Self) -> BindResult<Option<Region>>,
+        recvcounts: &[i32],
+        displs: &[i32],
+        dt: &Datatype,
+        root: usize,
+        comm: CommHandle,
+    ) -> BindResult<()> {
+        self.collect(send, recv, root, comm, 0, |m, s, r| {
+            m.gatherv(s, sendcount, r, recvcounts, displs, dt, root, comm)
+        })
+    }
+
+    fn scatter_native(
+        &mut self,
+        send: Option<Region>,
+        recv: Region,
+        count: i32,
+        dt: &Datatype,
+        root: usize,
+        comm: CommHandle,
+    ) -> BindResult<()> {
+        self.distribute(send, recv, root, comm, |m, s, r| {
+            m.scatter(s, r, count, dt, root, comm)
+        })
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn scatterv_native(
+        &mut self,
+        send: Option<Region>,
+        sendcounts: &[i32],
+        displs: &[i32],
+        recv: Region,
+        recvcount: i32,
+        dt: &Datatype,
+        root: usize,
+        comm: CommHandle,
+    ) -> BindResult<()> {
+        self.distribute(send, recv, root, comm, |m, s, r| {
+            m.scatterv(s, sendcounts, displs, r, recvcount, dt, root, comm)
+        })
+    }
+
+    fn allgather_native(
+        &mut self,
+        send: Region,
+        recv: Region,
+        count: i32,
+        dt: &Datatype,
+        comm: CommHandle,
+    ) -> BindResult<()> {
+        self.exchange(send, recv, |m, s, r| m.allgather(s, r, count, dt, comm))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn allgatherv_native(
+        &mut self,
+        send: Region,
+        sendcount: i32,
+        recv: Region,
+        recvcounts: &[i32],
+        displs: &[i32],
+        dt: &Datatype,
+        comm: CommHandle,
+    ) -> BindResult<()> {
+        self.exchange(send, recv, |m, s, r| {
+            m.allgatherv(s, sendcount, r, recvcounts, displs, dt, comm)
+        })
+    }
+
+    fn alltoall_native(
+        &mut self,
+        send: Region,
+        recv: Region,
+        count: i32,
+        dt: &Datatype,
+        comm: CommHandle,
+    ) -> BindResult<()> {
+        self.exchange(send, recv, |m, s, r| m.alltoall(s, r, count, dt, comm))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn alltoallv_native(
+        &mut self,
+        send: Region,
+        sendcounts: &[i32],
+        sdispls: &[i32],
+        recv: Region,
+        recvcounts: &[i32],
+        rdispls: &[i32],
+        dt: &Datatype,
+        comm: CommHandle,
+    ) -> BindResult<()> {
+        self.exchange(send, recv, |m, s, r| {
+            m.alltoallv(s, sendcounts, sdispls, r, recvcounts, rdispls, dt, comm)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -150,10 +272,7 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let mut temp = self.snapshot(buf)?;
-        self.mpi.bcast(&mut temp, count, dt, root, comm)?;
-        self.deposit(buf, &temp)
+        self.bcast_native(buf.into(), count, dt, root, comm)
     }
 
     /// `comm.bcast(type[] arr, count, datatype, root)`.
@@ -168,19 +287,13 @@ impl Env {
         let me = self.mpi.rank(comm)?;
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
-        if me == root {
-            let (staging, mut temp) = self.stage_region(arr, elems)?;
-            self.charge_addr();
-            self.mpi.bcast(&mut temp, count, &dt, root, comm)?;
-            self.release_staging(staging);
+        let s = if me == root {
+            self.stage_in(arr, 0, elems, dt.clone())?
         } else {
-            let staging = self.stage_empty(arr, elems)?;
-            let mut temp = vec![0u8; elems * T::SIZE];
-            self.charge_addr();
-            self.mpi.bcast(&mut temp, count, &dt, root, comm)?;
-            self.unstage_region(staging, arr, &temp)?;
-        }
-        Ok(())
+            self.staging(arr, 0, elems, dt.clone())
+        };
+        let out = self.bcast_native(s.region(), count, &dt, root, comm);
+        self.close(out, [Some(s)])
     }
 
     // ------------------------------------------------------------------
@@ -201,23 +314,8 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let me = self.mpi.rank(comm)?;
-        if me == root {
-            let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: dt.span(count.max(0) as usize),
-                available: 0,
-            }))?;
-            let mut temp = self.snapshot(out)?;
-            self.mpi
-                .reduce(&sendbytes, Some(&mut temp), count, dt, op, root, comm)?;
-            self.deposit(out, &temp)?;
-        } else {
-            self.mpi
-                .reduce(&sendbytes, None, count, dt, op, root, comm)?;
-        }
-        Ok(())
+        let recv = |_: &mut Self| Ok(recv.map(Region::from));
+        self.reduce_native(send.into(), recv, count, dt, op, root, comm)
     }
 
     /// Array flavour of reduce.
@@ -234,25 +332,21 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
-        let (staging, sendbytes) = self.stage_region(send, elems)?;
-        self.charge_addr();
-        let me = self.mpi.rank(comm)?;
-        if me == root {
-            let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: dt.span(elems),
-                available: 0,
-            }))?;
-            let rstaging = self.stage_empty(out, elems)?;
-            let mut temp = vec![0u8; elems * T::SIZE];
-            self.mpi
-                .reduce(&sendbytes, Some(&mut temp), count, &dt, op, root, comm)?;
-            self.unstage_region(rstaging, out, &temp)?;
-        } else {
-            self.mpi
-                .reduce(&sendbytes, None, count, &dt, op, root, comm)?;
-        }
-        self.release_staging(staging);
-        Ok(())
+        let s = self.stage_in(send, 0, elems, dt.clone())?;
+        let mut r = None;
+        let out = self.reduce_native(
+            s.region(),
+            |env| {
+                r = recv.map(|a| env.staging(a, 0, elems, dt.clone()));
+                Ok(r.as_ref().map(Staging::region))
+            },
+            count,
+            &dt,
+            op,
+            root,
+            comm,
+        );
+        self.close(out, [r, Some(s)])
     }
 
     /// `comm.allReduce(send, recv, count, datatype, op)` over buffers.
@@ -266,12 +360,7 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let mut temp = self.snapshot(recv)?;
-        self.mpi
-            .allreduce(&sendbytes, &mut temp, count, dt, op, comm)?;
-        self.deposit(recv, &temp)
+        self.allreduce_native(send.into(), recv.into(), count, dt, op, comm)
     }
 
     /// Array flavour of allreduce.
@@ -286,15 +375,10 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
-        let (staging, sendbytes) = self.stage_region(send, elems)?;
-        let rstaging = self.stage_empty(recv, elems)?;
-        self.charge_addr();
-        let mut temp = vec![0u8; elems * T::SIZE];
-        self.mpi
-            .allreduce(&sendbytes, &mut temp, count, &dt, op, comm)?;
-        self.unstage_region(rstaging, recv, &temp)?;
-        self.release_staging(staging);
-        Ok(())
+        let s = self.stage_in(send, 0, elems, dt.clone())?;
+        let r = self.staging(recv, 0, elems, dt.clone());
+        let out = self.allreduce_native(s.region(), r.region(), count, &dt, op, comm);
+        self.close(out, [Some(r), Some(s)])
     }
 
     // ------------------------------------------------------------------
@@ -314,22 +398,8 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let me = self.mpi.rank(comm)?;
-        if me == root {
-            let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let mut temp = self.snapshot(out)?;
-            self.mpi
-                .gather(&sendbytes, Some(&mut temp), count, dt, root, comm)?;
-            self.deposit(out, &temp)?;
-        } else {
-            self.mpi.gather(&sendbytes, None, count, dt, root, comm)?;
-        }
-        Ok(())
+        let recv = |_: &mut Self| Ok(recv.map(Region::from));
+        self.gather_native(send.into(), recv, count, dt, root, comm)
     }
 
     /// Array flavour of gather.
@@ -346,24 +416,20 @@ impl Env {
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
         let p = self.mpi.size(comm)?;
-        let (staging, sendbytes) = self.stage_region(send, elems)?;
-        self.charge_addr();
-        let me = self.mpi.rank(comm)?;
-        if me == root {
-            let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let rstaging = self.stage_empty(out, elems * p)?;
-            let mut temp = vec![0u8; elems * p * T::SIZE];
-            self.mpi
-                .gather(&sendbytes, Some(&mut temp), count, &dt, root, comm)?;
-            self.unstage_region(rstaging, out, &temp)?;
-        } else {
-            self.mpi.gather(&sendbytes, None, count, &dt, root, comm)?;
-        }
-        self.release_staging(staging);
-        Ok(())
+        let s = self.stage_in(send, 0, elems, dt.clone())?;
+        let mut r = None;
+        let out = self.gather_native(
+            s.region(),
+            |env| {
+                r = recv.map(|a| env.staging(a, 0, elems * p, dt.clone()));
+                Ok(r.as_ref().map(Staging::region))
+            },
+            count,
+            &dt,
+            root,
+            comm,
+        );
+        self.close(out, [r, Some(s)])
     }
 
     /// `comm.gatherv` over buffers (vectored blocking collective).
@@ -380,32 +446,17 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let me = self.mpi.rank(comm)?;
-        if me == root {
-            let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let mut temp = self.snapshot(out)?;
-            self.mpi.gatherv(
-                &sendbytes,
-                sendcount,
-                Some(&mut temp),
-                recvcounts,
-                displs,
-                dt,
-                root,
-                comm,
-            )?;
-            self.deposit(out, &temp)?;
-        } else {
-            self.mpi.gatherv(
-                &sendbytes, sendcount, None, recvcounts, displs, dt, root, comm,
-            )?;
-        }
-        Ok(())
+        let recv = |_: &mut Self| Ok(recv.map(Region::from));
+        self.gatherv_native(
+            send.into(),
+            sendcount,
+            recv,
+            recvcounts,
+            displs,
+            dt,
+            root,
+            comm,
+        )
     }
 
     /// Array flavour of gatherv.
@@ -422,40 +473,23 @@ impl Env {
     ) -> BindResult<()> {
         self.binding_call();
         let dt = datatype_of::<T>();
-        let (staging, sendbytes) = self.stage_region(send, send.len())?;
-        self.charge_addr();
-        let me = self.mpi.rank(comm)?;
-        if me == root {
-            let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let rstaging = self.stage_empty(out, out.len())?;
-            // Seed with current contents: gatherv only fills the blocks.
-            let mut temp = self.array_snapshot(out)?;
-            self.mpi.gatherv(
-                &sendbytes,
-                sendcount,
-                Some(&mut temp),
-                recvcounts,
-                displs,
-                &dt,
-                root,
-                comm,
-            )?;
-            self.unstage_region(rstaging, out, &temp)?;
-        } else {
-            self.mpi.gatherv(
-                &sendbytes, sendcount, None, recvcounts, displs, &dt, root, comm,
-            )?;
-        }
-        self.release_staging(staging);
-        Ok(())
-    }
-
-    /// Uncharged byte snapshot of an array (seeding receive temps).
-    fn array_snapshot<T: Prim>(&self, arr: JArray<T>) -> BindResult<Vec<u8>> {
-        Ok(self.rt.heap().bytes(arr.handle())?.to_vec())
+        let s = self.stage_in(send, 0, send.len(), dt.clone())?;
+        let mut r = None;
+        let out = self.gatherv_native(
+            s.region(),
+            sendcount,
+            |env| {
+                // Seeded: gatherv only fills the blocks.
+                r = recv.map(|a| env.seeded(a)).transpose()?;
+                Ok(r.as_ref().map(Staging::region))
+            },
+            recvcounts,
+            displs,
+            &dt,
+            root,
+            comm,
+        );
+        self.close(out, [r, Some(s)])
     }
 
     /// `comm.scatter` over buffers; `send` significant at root.
@@ -470,21 +504,7 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let me = self.mpi.rank(comm)?;
-        let mut temp = self.snapshot(recv)?;
-        if me == root {
-            let src = send.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let sendbytes = self.snapshot(src)?;
-            self.mpi
-                .scatter(Some(&sendbytes), &mut temp, count, dt, root, comm)?;
-        } else {
-            self.mpi.scatter(None, &mut temp, count, dt, root, comm)?;
-        }
-        self.deposit(recv, &temp)
+        self.scatter_native(send.map(Region::from), recv.into(), count, dt, root, comm)
     }
 
     /// Array flavour of scatter.
@@ -500,23 +520,25 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let me = self.mpi.rank(comm)?;
-        let rstaging = self.stage_empty(recv, recv.len())?;
-        let mut temp = vec![0u8; recv.byte_len()];
-        if me == root {
-            let src = send.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let (staging, sendbytes) = self.stage_region(src, src.len())?;
-            self.charge_addr();
-            self.mpi
-                .scatter(Some(&sendbytes), &mut temp, count, &dt, root, comm)?;
-            self.release_staging(staging);
-        } else {
-            self.charge_addr();
-            self.mpi.scatter(None, &mut temp, count, &dt, root, comm)?;
-        }
-        self.unstage_region(rstaging, recv, &temp)
+        // The whole receive array is scattered back, so the store starts
+        // as the array does.
+        let r = self.seeded(recv)?;
+        let s = match send.filter(|_| me == root) {
+            Some(src) => match self.stage_in(src, 0, src.len(), dt.clone()) {
+                Ok(s) => Some(s),
+                Err(e) => return self.close(Err(e), [Some(r)]),
+            },
+            None => None,
+        };
+        let out = self.scatter_native(
+            s.as_ref().map(Staging::region),
+            r.region(),
+            count,
+            &dt,
+            root,
+            comm,
+        );
+        self.close(out, [s, Some(r)])
     }
 
     /// `comm.scatterv` over buffers.
@@ -533,31 +555,16 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let me = self.mpi.rank(comm)?;
-        let mut temp = self.snapshot(recv)?;
-        if me == root {
-            let src = send.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let sendbytes = self.snapshot(src)?;
-            self.mpi.scatterv(
-                Some(&sendbytes),
-                sendcounts,
-                displs,
-                &mut temp,
-                recvcount,
-                dt,
-                root,
-                comm,
-            )?;
-        } else {
-            self.mpi.scatterv(
-                None, sendcounts, displs, &mut temp, recvcount, dt, root, comm,
-            )?;
-        }
-        self.deposit(recv, &temp)
+        self.scatterv_native(
+            send.map(Region::from),
+            sendcounts,
+            displs,
+            recv.into(),
+            recvcount,
+            dt,
+            root,
+            comm,
+        )
     }
 
     /// Array flavour of scatterv.
@@ -575,33 +582,26 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let me = self.mpi.rank(comm)?;
-        let rstaging = self.stage_empty(recv, recv.len())?;
-        let mut temp = self.array_snapshot(recv)?;
-        if me == root {
-            let src = send.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let (staging, sendbytes) = self.stage_region(src, src.len())?;
-            self.charge_addr();
-            self.mpi.scatterv(
-                Some(&sendbytes),
-                sendcounts,
-                displs,
-                &mut temp,
-                recvcount,
-                &dt,
-                root,
-                comm,
-            )?;
-            self.release_staging(staging);
-        } else {
-            self.charge_addr();
-            self.mpi.scatterv(
-                None, sendcounts, displs, &mut temp, recvcount, &dt, root, comm,
-            )?;
-        }
-        self.unstage_region(rstaging, recv, &temp)
+        // Seeded: scatterv only fills the received block.
+        let r = self.seeded(recv)?;
+        let s = match send.filter(|_| me == root) {
+            Some(src) => match self.stage_in(src, 0, src.len(), dt.clone()) {
+                Ok(s) => Some(s),
+                Err(e) => return self.close(Err(e), [Some(r)]),
+            },
+            None => None,
+        };
+        let out = self.scatterv_native(
+            s.as_ref().map(Staging::region),
+            sendcounts,
+            displs,
+            r.region(),
+            recvcount,
+            &dt,
+            root,
+            comm,
+        );
+        self.close(out, [s, Some(r)])
     }
 
     // ------------------------------------------------------------------
@@ -618,11 +618,7 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let mut temp = self.snapshot(recv)?;
-        self.mpi.allgather(&sendbytes, &mut temp, count, dt, comm)?;
-        self.deposit(recv, &temp)
+        self.allgather_native(send.into(), recv.into(), count, dt, comm)
     }
 
     /// Array flavour of allgather.
@@ -637,15 +633,10 @@ impl Env {
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
         let p = self.mpi.size(comm)?;
-        let (staging, sendbytes) = self.stage_region(send, elems)?;
-        let rstaging = self.stage_empty(recv, elems * p)?;
-        self.charge_addr();
-        let mut temp = vec![0u8; elems * p * T::SIZE];
-        self.mpi
-            .allgather(&sendbytes, &mut temp, count, &dt, comm)?;
-        self.unstage_region(rstaging, recv, &temp)?;
-        self.release_staging(staging);
-        Ok(())
+        let s = self.stage_in(send, 0, elems, dt.clone())?;
+        let r = self.staging(recv, 0, elems * p, dt.clone());
+        let out = self.allgather_native(s.region(), r.region(), count, &dt, comm);
+        self.close(out, [Some(r), Some(s)])
     }
 
     /// `comm.allGatherv` over buffers.
@@ -661,13 +652,15 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let mut temp = self.snapshot(recv)?;
-        self.mpi.allgatherv(
-            &sendbytes, sendcount, &mut temp, recvcounts, displs, dt, comm,
-        )?;
-        self.deposit(recv, &temp)
+        self.allgatherv_native(
+            send.into(),
+            sendcount,
+            recv.into(),
+            recvcounts,
+            displs,
+            dt,
+            comm,
+        )
     }
 
     /// Array flavour of allgatherv.
@@ -683,16 +676,21 @@ impl Env {
     ) -> BindResult<()> {
         self.binding_call();
         let dt = datatype_of::<T>();
-        let (staging, sendbytes) = self.stage_region(send, send.len())?;
-        let rstaging = self.stage_empty(recv, recv.len())?;
-        self.charge_addr();
-        let mut temp = self.array_snapshot(recv)?;
-        self.mpi.allgatherv(
-            &sendbytes, sendcount, &mut temp, recvcounts, displs, &dt, comm,
-        )?;
-        self.unstage_region(rstaging, recv, &temp)?;
-        self.release_staging(staging);
-        Ok(())
+        let s = self.stage_in(send, 0, send.len(), dt.clone())?;
+        let r = match self.seeded(recv) {
+            Ok(r) => r,
+            Err(e) => return self.close(Err(e), [Some(s)]),
+        };
+        let out = self.allgatherv_native(
+            s.region(),
+            sendcount,
+            r.region(),
+            recvcounts,
+            displs,
+            &dt,
+            comm,
+        );
+        self.close(out, [Some(r), Some(s)])
     }
 
     /// `comm.allToAll` over buffers.
@@ -705,11 +703,7 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let mut temp = self.snapshot(recv)?;
-        self.mpi.alltoall(&sendbytes, &mut temp, count, dt, comm)?;
-        self.deposit(recv, &temp)
+        self.alltoall_native(send.into(), recv.into(), count, dt, comm)
     }
 
     /// Array flavour of alltoall.
@@ -724,14 +718,10 @@ impl Env {
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
         let p = self.mpi.size(comm)?;
-        let (staging, sendbytes) = self.stage_region(send, elems * p)?;
-        let rstaging = self.stage_empty(recv, elems * p)?;
-        self.charge_addr();
-        let mut temp = vec![0u8; elems * p * T::SIZE];
-        self.mpi.alltoall(&sendbytes, &mut temp, count, &dt, comm)?;
-        self.unstage_region(rstaging, recv, &temp)?;
-        self.release_staging(staging);
-        Ok(())
+        let s = self.stage_in(send, 0, elems * p, dt.clone())?;
+        let r = self.staging(recv, 0, elems * p, dt.clone());
+        let out = self.alltoall_native(s.region(), r.region(), count, &dt, comm);
+        self.close(out, [Some(r), Some(s)])
     }
 
     /// `comm.allToAllv` over buffers.
@@ -748,13 +738,16 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let mut temp = self.snapshot(recv)?;
-        self.mpi.alltoallv(
-            &sendbytes, sendcounts, sdispls, &mut temp, recvcounts, rdispls, dt, comm,
-        )?;
-        self.deposit(recv, &temp)
+        self.alltoallv_native(
+            send.into(),
+            sendcounts,
+            sdispls,
+            recv.into(),
+            recvcounts,
+            rdispls,
+            dt,
+            comm,
+        )
     }
 
     /// Array flavour of alltoallv.
@@ -771,15 +764,21 @@ impl Env {
     ) -> BindResult<()> {
         self.binding_call();
         let dt = datatype_of::<T>();
-        let (staging, sendbytes) = self.stage_region(send, send.len())?;
-        let rstaging = self.stage_empty(recv, recv.len())?;
-        self.charge_addr();
-        let mut temp = self.array_snapshot(recv)?;
-        self.mpi.alltoallv(
-            &sendbytes, sendcounts, sdispls, &mut temp, recvcounts, rdispls, &dt, comm,
-        )?;
-        self.unstage_region(rstaging, recv, &temp)?;
-        self.release_staging(staging);
-        Ok(())
+        let s = self.stage_in(send, 0, send.len(), dt.clone())?;
+        let r = match self.seeded(recv) {
+            Ok(r) => r,
+            Err(e) => return self.close(Err(e), [Some(s)]),
+        };
+        let out = self.alltoallv_native(
+            s.region(),
+            sendcounts,
+            sdispls,
+            r.region(),
+            recvcounts,
+            rdispls,
+            &dt,
+            comm,
+        );
+        self.close(out, [Some(r), Some(s)])
     }
 }

@@ -4,6 +4,9 @@ use mpisim::datatype::Datatype;
 use mpjbuf::Buffer;
 use mrt::Handle;
 
+use crate::env::Region;
+use crate::stage::Staging;
+
 /// Completion status (the bindings' `Status` object).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JStatus {
@@ -26,12 +29,12 @@ impl JStatus {
     }
 }
 
-/// Type-erased description of a managed-array destination for unstaging.
+/// Type-erased description of a managed-array region for staging.
 #[derive(Debug)]
 pub(crate) struct ArrayDest {
     /// Heap handle of the target array.
     pub handle: Handle,
-    /// Byte offset within the array where element 0 of the message lands.
+    /// Byte offset within the array of the message's element 0.
     pub byte_off: usize,
     /// Total byte length of the array object (for bounds checks).
     pub byte_len: usize,
@@ -39,24 +42,14 @@ pub(crate) struct ArrayDest {
 
 /// What must happen when a request completes.
 pub(crate) enum PostAction {
-    /// Plain send (direct-buffer source): nothing to do.
+    /// Send, or a collective with nothing to deliver here.
     SendDone,
-    /// Array send: the staging buffer goes back to the pool.
-    SendStaged { staging: Buffer },
-    /// Receive into a direct buffer: deposit the payload.
-    RecvBuffer {
-        buf: mrt::DirectBuffer,
-        /// User-layout span of the posted receive (the deposit region).
-        span: usize,
-    },
-    /// Receive into a managed array: deposit into the staging buffer,
+    /// Receive into a direct buffer: deposit the payload into the
+    /// user-layout span of the posted receive.
+    RecvBuffer(Region),
+    /// Receive into a managed array: deposit into the staging store,
     /// then scatter into the array per the datatype.
-    RecvArray {
-        staging: Buffer,
-        dest: ArrayDest,
-        dt: Datatype,
-        count: usize,
-    },
+    RecvArray(Staging),
 }
 
 /// A non-blocking operation in flight (the bindings' `Request` object).
@@ -65,18 +58,26 @@ pub struct JRequest {
     pub(crate) post: PostAction,
     /// Send-side staging buffer pinned for the operation's lifetime.
     /// Non-blocking collectives read their source region while the
-    /// schedule progresses, so the request owns the buffer until
+    /// schedule progresses, so the request owns the store until
     /// completion — the collector can run mid-flight without the pool
     /// reusing (or freeing) storage the native library still reads.
     pub(crate) pinned: Option<Buffer>,
 }
 
 impl JRequest {
+    pub(crate) fn new(native: mpisim::mpi::MpiRequest, post: PostAction) -> Self {
+        JRequest {
+            native,
+            post,
+            pinned: None,
+        }
+    }
+
     /// Whether this request is a receive (its completion carries data).
     pub fn is_recv(&self) -> bool {
         matches!(
             self.post,
-            PostAction::RecvBuffer { .. } | PostAction::RecvArray { .. }
+            PostAction::RecvBuffer(_) | PostAction::RecvArray(_)
         )
     }
 }

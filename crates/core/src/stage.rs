@@ -8,11 +8,181 @@
 //! segment.
 
 use mpisim::datatype::Datatype;
-use mrt::{DirectBuffer, Handle, MrtError, MrtResult, Runtime};
+use mpjbuf::Buffer;
+use mrt::prim::Prim;
+use mrt::{DirectBuffer, Handle, JArray, MrtError, MrtResult, Runtime};
 use obs::wallprof::{self, Counter};
 use vtime::Clock;
 
-use crate::request::ArrayDest;
+use crate::datatype::datatype_of;
+use crate::env::{Env, Region};
+use crate::error::BindResult;
+use crate::request::{ArrayDest, JRequest, PostAction};
+
+/// An array region staged through a pooled direct buffer for one binding
+/// call. The store holds `count` elements of `dt` packed from byte 0;
+/// the array variant runs the buffer variant's native body over
+/// [`Staging::region`].
+pub(crate) struct Staging {
+    buf: Buffer,
+    arr: ArrayDest,
+    dt: Datatype,
+    count: usize,
+    /// Whether closing the call scatters the store back into the array.
+    recv: bool,
+}
+
+impl Staging {
+    /// The packed bytes the native body sees: a prefix of the store (the
+    /// pool may hand out a larger one).
+    pub(crate) fn region(&self) -> Region {
+        Region {
+            buf: self.buf.store(),
+            len: self.dt.size() * self.count,
+        }
+    }
+}
+
+impl Env {
+    /// Acquire a pooled store for `count` elements of `dt` over `arr`,
+    /// starting at element `elem_off`, to receive into.
+    pub(crate) fn staging<T: Prim>(
+        &mut self,
+        arr: JArray<T>,
+        elem_off: usize,
+        count: usize,
+        dt: Datatype,
+    ) -> Staging {
+        let clock = self.mpi.clock_mut();
+        let size = (dt.size() * count).max(1);
+        Staging {
+            buf: Buffer::from_pool(&mut self.pool, &mut self.rt, clock, size),
+            arr: ArrayDest {
+                handle: arr.handle(),
+                byte_off: elem_off * T::SIZE,
+                byte_len: arr.byte_len(),
+            },
+            dt,
+            count,
+            recv: true,
+        }
+    }
+
+    /// Acquire a store and gather the array region into it (charged): the
+    /// send side of an array binding.
+    pub(crate) fn stage_in<T: Prim>(
+        &mut self,
+        arr: JArray<T>,
+        elem_off: usize,
+        count: usize,
+        dt: Datatype,
+    ) -> BindResult<Staging> {
+        let mut s = self.staging(arr, elem_off, count, dt);
+        s.recv = false;
+        let (clock, a) = (self.mpi.clock_mut(), &s.arr);
+        let out = stage_from_array(
+            &mut self.rt,
+            clock,
+            s.buf.store(),
+            a.handle,
+            a.byte_off,
+            s.count,
+            &s.dt,
+        );
+        self.keep(s, out.map(drop))
+    }
+
+    /// Acquire a receive store for a whole array and seed it with the
+    /// array's current bytes (uncharged): a vectored receive fills only
+    /// its blocks, and the scatter back must leave the gaps as they were.
+    pub(crate) fn seeded<T: Prim>(&mut self, arr: JArray<T>) -> BindResult<Staging> {
+        let s = self.staging(arr, 0, arr.len(), datatype_of::<T>());
+        let seed = self.rt.heap().bytes(arr.handle()).map(<[u8]>::to_vec);
+        let out = seed.and_then(|seed| {
+            let store = self.rt.direct_bytes_mut(s.buf.store())?;
+            store[..seed.len()].copy_from_slice(&seed);
+            Ok(())
+        });
+        self.keep(s, out)
+    }
+
+    /// Keep a store whose filling succeeded; release it otherwise.
+    fn keep(&mut self, s: Staging, filled: MrtResult<()>) -> BindResult<Staging> {
+        match filled {
+            Ok(()) => Ok(s),
+            Err(e) => {
+                self.release(s);
+                Err(e.into())
+            }
+        }
+    }
+
+    /// Scatter the first `filled` bytes of the store into the array
+    /// (charged), then release the store, whether or not the scatter
+    /// succeeded.
+    pub(crate) fn unstage(&mut self, s: Staging, filled: usize) -> BindResult<()> {
+        let clock = self.mpi.clock_mut();
+        let out = unstage_to_array(
+            &mut self.rt,
+            clock,
+            s.buf.store(),
+            &s.arr,
+            s.count,
+            &s.dt,
+            filled,
+        );
+        self.release(s);
+        out.map_err(Into::into)
+    }
+
+    /// Return a store to the pool.
+    pub(crate) fn release(&mut self, s: Staging) {
+        let clock = self.mpi.clock_mut();
+        s.buf.free(&mut self.pool, &mut self.rt, clock);
+    }
+
+    /// Close an array binding whose native body returned `out`: walk
+    /// `stores` in order, scattering each receive store back (only if
+    /// every step so far succeeded) and releasing every store.
+    pub(crate) fn close<R, const N: usize>(
+        &mut self,
+        mut out: BindResult<R>,
+        stores: [Option<Staging>; N],
+    ) -> BindResult<R> {
+        for s in stores.into_iter().flatten() {
+            if s.recv && out.is_ok() {
+                let filled = s.region().len;
+                if let Err(e) = self.unstage(s, filled) {
+                    out = Err(e);
+                }
+            } else {
+                self.release(s);
+            }
+        }
+        out
+    }
+
+    /// Hand a non-blocking array binding's stores to the request its
+    /// native body posted: `recv` is scattered back at completion, `send`
+    /// is held until then. If the post failed, both are released.
+    pub(crate) fn posted(
+        &mut self,
+        out: BindResult<JRequest>,
+        recv: Option<Staging>,
+        send: Option<Staging>,
+    ) -> BindResult<JRequest> {
+        match out {
+            Ok(mut req) => {
+                if let Some(r) = recv {
+                    req.post = PostAction::RecvArray(r);
+                }
+                req.pinned = send.map(|s| s.buf);
+                Ok(req)
+            }
+            Err(e) => self.close(Err(e), [recv, send]),
+        }
+    }
+}
 
 /// Gather `count` elements of `dt` from the array object `src` (starting
 /// at `src_byte_off`) into `store` starting at byte 0. Returns the packed
@@ -21,21 +191,6 @@ pub(crate) fn stage_from_array(
     rt: &mut Runtime,
     clock: &mut Clock,
     store: DirectBuffer,
-    src: Handle,
-    src_byte_off: usize,
-    count: usize,
-    dt: &Datatype,
-) -> MrtResult<usize> {
-    stage_from_array_at(rt, clock, store, 0, src, src_byte_off, count, dt)
-}
-
-/// Like [`stage_from_array`], but packing into `store` at `store_off`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stage_from_array_at(
-    rt: &mut Runtime,
-    clock: &mut Clock,
-    store: DirectBuffer,
-    store_off: usize,
     src: Handle,
     src_byte_off: usize,
     count: usize,
@@ -53,12 +208,12 @@ pub(crate) fn stage_from_array_at(
     }
     if dt.is_contiguous() {
         // One bulk copy.
-        rt.direct_write_from_heap(store, store_off, src, src_byte_off, packed, clock)?;
+        rt.direct_write_from_heap(store, 0, src, src_byte_off, packed, clock)?;
     } else {
         // Each scattered segment is a separate (charged) copy.
         let segs = dt.segments();
         let ext = dt.extent();
-        let mut pos = store_off;
+        let mut pos = 0;
         for i in 0..count {
             let base = src_byte_off + i * ext;
             for &(off, len) in &segs {
@@ -66,7 +221,7 @@ pub(crate) fn stage_from_array_at(
                 pos += len;
             }
         }
-        debug_assert_eq!(pos, store_off + packed);
+        debug_assert_eq!(pos, packed);
     }
     wallprof::add(Counter::CopyBytes, packed as u64);
     if obs::tracing_enabled() {
@@ -93,22 +248,6 @@ pub(crate) fn unstage_to_array(
     dt: &Datatype,
     filled: usize,
 ) -> MrtResult<()> {
-    unstage_to_array_at(rt, clock, store, 0, dest, count, dt, filled)
-}
-
-/// Like [`unstage_to_array`], but reading packed bytes from `store` at
-/// `store_off`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn unstage_to_array_at(
-    rt: &mut Runtime,
-    clock: &mut Clock,
-    store: DirectBuffer,
-    store_off: usize,
-    dest: &ArrayDest,
-    count: usize,
-    dt: &Datatype,
-    filled: usize,
-) -> MrtResult<()> {
     let elem = dt.size();
     if elem == 0 || filled == 0 {
         return Ok(());
@@ -123,18 +262,11 @@ pub(crate) fn unstage_to_array_at(
         });
     }
     if dt.is_contiguous() {
-        rt.direct_read_into_heap(
-            store,
-            store_off,
-            dest.handle,
-            dest.byte_off,
-            full * elem,
-            clock,
-        )?;
+        rt.direct_read_into_heap(store, 0, dest.handle, dest.byte_off, full * elem, clock)?;
     } else {
         let segs = dt.segments();
         let ext = dt.extent();
-        let mut pos = store_off;
+        let mut pos = 0;
         for i in 0..full {
             let base = dest.byte_off + i * ext;
             for &(off, len) in &segs {

@@ -422,6 +422,61 @@ fn buffer_pool_is_reused_across_messages() {
     }
 }
 
+/// Run `call` on `env` (expecting it to fail) and return how many pooled
+/// staging buffers it left outstanding.
+fn leaked<R>(
+    env: &mut mvapich2j::Env,
+    call: impl FnOnce(&mut mvapich2j::Env) -> Result<R, BindError>,
+) -> u64 {
+    let before = env.pool_stats().outstanding;
+    assert!(call(env).is_err(), "the call must fail");
+    env.pool_stats().outstanding - before
+}
+
+#[test]
+fn failing_pt2pt_array_calls_release_their_staging() {
+    run_job(cfg2(), |env| {
+        let w = env.world();
+        let arr = env.new_array::<i32>(8).unwrap();
+        // The native library rejects the peer after staging.
+        assert_eq!(leaked(env, |e| e.isend_array(arr, 8, 7, 0, w)), 0);
+        assert_eq!(leaked(env, |e| e.irecv_array(arr, 8, 7, 0, w)), 0);
+        // Staging itself fails: the array is shorter than the count.
+        assert_eq!(leaked(env, |e| e.isend_array(arr, 9, 1, 0, w)), 0);
+    });
+}
+
+#[test]
+fn failing_collective_array_calls_release_their_staging() {
+    // One rank is every collective's root, so a call that fails there
+    // leaves no peer waiting.
+    run_job(JobConfig::mvapich2j(Topology::single_node(1)), |env| {
+        let w = env.world();
+        let send = env.new_array::<i32>(4).unwrap();
+        let recv = env.new_array::<i32>(4).unwrap();
+        let sum = ReduceOp::Sum;
+        assert_eq!(leaked(env, |e| e.reduce_array(send, None, 4, sum, 0, w)), 0);
+        assert_eq!(leaked(env, |e| e.gather_array(send, None, 4, 0, w)), 0);
+        assert_eq!(
+            leaked(env, |e| e.gatherv_array(send, 4, None, &[4], &[0], 0, w)),
+            0
+        );
+        assert_eq!(leaked(env, |e| e.scatter_array(None, recv, 4, 0, w)), 0);
+        assert_eq!(leaked(env, |e| e.allreduce_array(send, recv, 5, sum, w)), 0);
+        assert_eq!(leaked(env, |e| e.igather_array(send, None, 4, 0, w)), 0);
+        assert_eq!(
+            leaked(env, |e| e.iallreduce_array(send, recv, 5, sum, w)),
+            0
+        );
+        // The same calls succeed once given what the root needs, and
+        // still return every store.
+        env.reduce_array(send, Some(recv), 4, sum, 0, w).unwrap();
+        let req = env.igather_array(send, Some(recv), 4, 0, w).unwrap();
+        env.wait(req).unwrap();
+        assert_eq!(env.pool_stats().outstanding, 0);
+    });
+}
+
 #[test]
 fn bindings_runs_are_deterministic() {
     let run = || {
