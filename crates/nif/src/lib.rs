@@ -45,12 +45,11 @@ pub struct NativeArray<T: Prim> {
 }
 
 /// Charge one Java→C→Java call transition (used by the bindings around
-/// every native MPI invocation).
+/// every native MPI invocation). It records no span of its own: the
+/// caller's `bind.call` span covers it.
 pub fn jni_transition(rt: &Runtime, clock: &mut Clock) {
-    let t0 = clock.now();
     clock.charge(rt.cost().jni_transition());
     obs::count(obs::pvar::NIF_TRANSITIONS, 1);
-    obs::span("transition", "nif", t0, clock.now(), Vec::new());
 }
 
 /// `Get<Type>ArrayElements`: produce a native copy of a managed array.

@@ -52,6 +52,9 @@ pub(crate) struct Sampler {
     /// series is time-ordered even when hints arrive out of order
     /// (deliveries from different peers pop in real-time order).
     bins: BTreeMap<u64, PvarSet>,
+    /// The bin updates last landed in, held out of `bins` so the updates
+    /// of one interval search the map once.
+    open: Option<(u64, PvarSet)>,
 }
 
 impl Sampler {
@@ -60,6 +63,7 @@ impl Sampler {
             interval_ns: interval_ns.max(1.0),
             cur: 0,
             bins: BTreeMap::new(),
+            open: None,
         }
     }
 
@@ -72,12 +76,25 @@ impl Sampler {
     /// The pvar set of the current interval.
     #[inline]
     pub(crate) fn bin(&mut self) -> &mut PvarSet {
-        self.bins.entry(self.cur).or_default()
+        let cur = self.cur;
+        if self.open.as_ref().is_none_or(|(idx, _)| *idx != cur) {
+            self.close();
+            self.open = Some((cur, self.bins.remove(&cur).unwrap_or_default()));
+        }
+        &mut self.open.as_mut().expect("opened above").1
+    }
+
+    /// Put the open bin back into `bins`.
+    fn close(&mut self) {
+        if let Some((idx, pvars)) = self.open.take() {
+            self.bins.insert(idx, pvars);
+        }
     }
 
     /// Close the series: time-ordered samples stamped with interval
     /// start times.
-    pub(crate) fn into_series(self) -> RankSeries {
+    pub(crate) fn into_series(mut self) -> RankSeries {
+        self.close();
         let interval_ns = self.interval_ns;
         RankSeries {
             interval_ns,
@@ -211,6 +228,19 @@ mod tests {
         assert_eq!(a.samples[1].pvars.counter(x.name()), 1);
         assert_eq!(a.samples[2].t_ns, 200.0);
         assert_eq!(a.samples[2].pvars.counter(y.name()), 1);
+    }
+
+    #[test]
+    fn a_revisited_interval_stays_one_sample() {
+        let mut s = Sampler::new(100.0);
+        for t in [10.0, 150.0, 20.0, 160.0, 30.0] {
+            s.tick(t);
+            s.bin().count(BIND_CALLS, 1);
+        }
+        let series = s.into_series();
+        assert_eq!(series.samples.len(), 2);
+        assert_eq!(series.samples[0].pvars.counter(BIND_CALLS.name()), 3);
+        assert_eq!(series.samples[1].pvars.counter(BIND_CALLS.name()), 2);
     }
 
     #[test]

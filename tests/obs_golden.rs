@@ -122,10 +122,10 @@ fn lossy_16_ranks() {
         "lossy_16_ranks",
         &report,
         &[
-            ("pvar_dump", 10826, 0xd34be01727c3663f),
-            ("telemetry_json", 75577, 0x4e8530cab9e1411b),
-            ("telemetry_csv", 100625, 0x84cfc74e850b2e6e),
-            ("chrome_trace_json", 473502, 0xbd28398711723908),
+            ("pvar_dump", 10932, 0x65c53cdd79e43fc0),
+            ("telemetry_json", 80472, 0x4010a368cf33391b),
+            ("telemetry_csv", 108633, 0x3175fb934380ecb5),
+            ("chrome_trace_json", 476688, 0xa5526a2784928e4f),
             ("incident_bundle_json", 0, 0),
         ],
     );
@@ -160,11 +160,11 @@ fn crash_8_ranks() {
         "crash_8_ranks",
         &report,
         &[
-            ("pvar_dump", 4156, 0xce7feffd0880c103),
-            ("telemetry_json", 86034, 0x422c544592567428),
-            ("telemetry_csv", 123117, 0xf546d25df4ebd757),
-            ("chrome_trace_json", 289236, 0xbec4603cc7d66485),
-            ("incident_bundle_json", 669595, 0x4c5f1ebea091f043),
+            ("pvar_dump", 4262, 0x5c6f4d9ed3326316),
+            ("telemetry_json", 93236, 0xf0580b0d81a0231e),
+            ("telemetry_csv", 134895, 0x8ce572779bc6f5c1),
+            ("chrome_trace_json", 287043, 0x61e400f8ebd69249),
+            ("incident_bundle_json", 672685, 0xfc5ad0e7249c2b28),
         ],
     );
 }

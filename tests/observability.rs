@@ -115,10 +115,35 @@ fn pvar_snapshot_covers_every_layer() {
 }
 
 #[test]
+fn bindings_cross_the_boundary_through_nif() {
+    // Every binding call is one JNI transition, and every direct buffer
+    // the bindings hand the native library (a pooled store, for arrays)
+    // is one `GetDirectBufferAddress` crossing, both counted by `nif`.
+    let bcast = RunSpec {
+        benchmark: Benchmark::Collective(ombj::CollOp::Bcast),
+        topo: Topology::new(2, 2),
+        ..latency_spec()
+    };
+    let latency = RunSpec {
+        api: Api::Arrays,
+        ..latency_spec()
+    };
+    for spec in [bcast, latency] {
+        let (_, report) = run_with_obs(spec, obs::ObsOptions::default());
+        let pvars = report.merged_pvars();
+        let calls = pvars.counter("bind.calls");
+        assert!(calls > 0, "{spec:?}");
+        assert_eq!(pvars.counter("nif.transitions"), calls, "{spec:?}");
+        assert!(pvars.counter("nif.crossings.direct") > 0, "{spec:?}");
+    }
+}
+
+#[test]
 fn nif_crossing_pvars_cover_all_three_access_modes() {
-    // The benchmark path charges JNI costs from the cost model, so the
-    // `nif` crate's pvars are exercised at its own API surface: one
-    // counter per access mode the paper distinguishes.
+    // The bindings only take direct-buffer addresses (see above); the
+    // copy and critical access modes are exercised at the `nif` crate's
+    // own API surface, as the `ablations` binary uses them: one counter
+    // per access mode the paper distinguishes.
     use vtime::{Clock, CostModel};
     obs::install(0, obs::ObsOptions::default());
     let mut rt = mrt::Runtime::new(CostModel::default());

@@ -59,7 +59,7 @@ fn bcast_64_ranks_event_engine() {
         "bcast_64",
         coll_spec(CollOp::Bcast, Topology::new(8, 8)),
         &[
-            64_661, 64_724, 64_724, 129_448, 64_724, 609_198, 64_724, 64_724,
+            64_661, 64_724, 64_724, 129_448, 64_724, 645_806, 64_724, 64_724,
         ],
     );
 }
@@ -70,7 +70,7 @@ fn allreduce_128_ranks_event_engine() {
         "allreduce_128",
         coll_spec(CollOp::Allreduce, Topology::new(16, 8)),
         &[
-            169_185, 169_312, 169_312, 338_624, 169_312, 1_541_760, 169_312, 169_312,
+            169_185, 169_312, 169_312, 338_624, 169_312, 1_614_976, 169_312, 169_312,
         ],
     );
 }
