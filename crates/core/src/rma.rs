@@ -12,7 +12,9 @@
 //!   array through a pooled `mpjbuf` staging buffer pinned for the
 //!   window's lifetime — the same GC-safety discipline non-blocking
 //!   collectives use for their schedules. Each synchronization pays the
-//!   charged gather/scatter the buffering layer always pays.
+//!   charged gather/scatter the buffering layer always pays; the scatter
+//!   reads window memory (or a get reply) in place, so the host copies
+//!   it once, not twice.
 //!
 //! Epoch semantics are the MPI ones: active target via [`Env::win_fence`]
 //! (collective; completes all one-sided operations and synchronizes the
@@ -32,7 +34,7 @@ use crate::datatype::datatype_of;
 use crate::env::{elems, Env, Region};
 use crate::error::{BindError, BindResult};
 use crate::request::ArrayDest;
-use crate::stage::{stage_from_array, unstage_to_array, Staging};
+use crate::stage::{stage_from_array, unstage_to_array, Packed, Staging};
 
 /// Bindings-level window handle (the `Win` object).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +45,7 @@ enum GetDest {
     /// Straight into the user's direct buffer (NIC deposit — uncharged).
     Buffer(Region),
     /// Through staging pinned for the epoch, then a charged scatter into
-    /// the managed array.
+    /// the managed array (read straight from the reply).
     Array(Staging),
 }
 
@@ -430,7 +432,7 @@ impl Env {
     fn deposit_gets(
         &mut self,
         win: JWin,
-        done: Vec<(mpisim::RmaGet, Box<[u8]>)>,
+        done: Vec<(mpisim::RmaGet, mpisim::Payload)>,
     ) -> BindResult<()> {
         for (tok, data) in done {
             let pos = self
@@ -448,12 +450,7 @@ impl Env {
                     self.deposit(r, &data[..n])?;
                     wallprof::add(Counter::CopyBytes, n as u64);
                 }
-                GetDest::Array(s) => {
-                    let n = data.len();
-                    self.deposit(s.region(), &data)?;
-                    wallprof::add(Counter::CopyBytes, n as u64);
-                    self.unstage(s, n)?;
-                }
+                GetDest::Array(s) => self.unstage_bytes(s, &data)?,
             }
         }
         Ok(())
@@ -464,7 +461,7 @@ impl Env {
     fn refresh_user_storage(&mut self, win: JWin) -> BindResult<()> {
         let info = self.storage_info(win)?;
         let native = self.win_state(win)?.native;
-        let mem = self.mpi.win_mem(native)?;
+        let (mem, clock) = self.mpi.win_mem(native)?;
         match info {
             StorageInfo::Buffer(b) => {
                 // The buffer *is* the exposed region: uncharged mirror.
@@ -472,22 +469,23 @@ impl Env {
                 wallprof::add(Counter::CopyBytes, mem.len() as u64);
             }
             StorageInfo::Array {
-                store,
                 handle,
                 count,
                 ref dt,
                 byte_len,
+                ..
             } => {
-                self.rt.direct_bytes_mut(store)?[..byte_len].copy_from_slice(&mem[..byte_len]);
-                wallprof::add(Counter::CopyBytes, byte_len as u64);
                 let dest = ArrayDest {
                     handle,
                     byte_off: 0,
                     byte_len,
                 };
-                // Charged scatter back into the managed array.
-                let clock = self.mpi.clock_mut();
-                unstage_to_array(&mut self.rt, clock, store, &dest, count, dt, byte_len)?;
+                // Charged scatter back into the managed array, straight
+                // out of window memory: the pinned staging is the native
+                // view of the same bytes, so the scatter it would pay is
+                // the one charged here.
+                let src = Packed::Bytes(&mem[..byte_len]);
+                unstage_to_array(&mut self.rt, clock, src, &dest, count, dt, byte_len)?;
             }
         }
         // Only once the user storage holds the NIC view (an error above

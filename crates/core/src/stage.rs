@@ -121,16 +121,20 @@ impl Env {
     /// (charged), then release the store, whether or not the scatter
     /// succeeded.
     pub(crate) fn unstage(&mut self, s: Staging, filled: usize) -> BindResult<()> {
+        let store = s.buf.store();
+        self.scatter_and_release(s, Packed::Store(store), filled)
+    }
+
+    /// [`Env::unstage`] of `bytes` that landed for the store elsewhere (a
+    /// get reply): the same charged scatter, read straight from `bytes`
+    /// instead of a copy of them in the store.
+    pub(crate) fn unstage_bytes(&mut self, s: Staging, bytes: &[u8]) -> BindResult<()> {
+        self.scatter_and_release(s, Packed::Bytes(bytes), bytes.len())
+    }
+
+    fn scatter_and_release(&mut self, s: Staging, src: Packed, filled: usize) -> BindResult<()> {
         let clock = self.mpi.clock_mut();
-        let out = unstage_to_array(
-            &mut self.rt,
-            clock,
-            s.buf.store(),
-            &s.arr,
-            s.count,
-            &s.dt,
-            filled,
-        );
+        let out = unstage_to_array(&mut self.rt, clock, src, &s.arr, s.count, &s.dt, filled);
         self.release(s);
         out.map_err(Into::into)
     }
@@ -236,13 +240,23 @@ pub(crate) fn stage_from_array(
     Ok(packed)
 }
 
-/// Scatter packed bytes from `store` into the array destination per `dt`.
-/// `filled` is the number of valid bytes in the store (may be less than
-/// `dt.size() * count` for short messages).
+/// Where a scatter reads its packed bytes from, starting at byte 0.
+#[derive(Clone, Copy)]
+pub(crate) enum Packed<'a> {
+    /// A direct buffer: a staging store.
+    Store(DirectBuffer),
+    /// Native memory outside the runtime: window memory or a get reply.
+    Bytes(&'a [u8]),
+}
+
+/// Scatter packed bytes from `src` into the array destination per `dt`.
+/// `filled` is the number of valid bytes in `src` (may be less than
+/// `dt.size() * count` for short messages). Each contiguous segment is
+/// one charged copy, whichever the source.
 pub(crate) fn unstage_to_array(
     rt: &mut Runtime,
     clock: &mut Clock,
-    store: DirectBuffer,
+    src: Packed,
     dest: &ArrayDest,
     count: usize,
     dt: &Datatype,
@@ -261,8 +275,16 @@ pub(crate) fn unstage_to_array(
             length: dest.byte_len,
         });
     }
+    let mut copy = |rt: &mut Runtime, pos: usize, dst_off: usize, len: usize| match src {
+        Packed::Store(store) => {
+            rt.direct_read_into_heap(store, pos, dest.handle, dst_off, len, clock)
+        }
+        Packed::Bytes(bytes) => {
+            rt.write_into_heap(&bytes[pos..pos + len], dest.handle, dst_off, clock)
+        }
+    };
     if dt.is_contiguous() {
-        rt.direct_read_into_heap(store, 0, dest.handle, dest.byte_off, full * elem, clock)?;
+        copy(rt, 0, dest.byte_off, full * elem)?;
     } else {
         let segs = dt.segments();
         let ext = dt.extent();
@@ -270,7 +292,7 @@ pub(crate) fn unstage_to_array(
         for i in 0..full {
             let base = dest.byte_off + i * ext;
             for &(off, len) in &segs {
-                rt.direct_read_into_heap(store, pos, dest.handle, base + off, len, clock)?;
+                copy(rt, pos, base + off, len)?;
                 pos += len;
             }
         }
@@ -315,7 +337,7 @@ mod tests {
             byte_off: 0,
             byte_len: 32,
         };
-        unstage_to_array(&mut rt, &mut c, store, &dest, 4, &INT, 16).unwrap();
+        unstage_to_array(&mut rt, &mut c, Packed::Store(store), &dest, 4, &INT, 16).unwrap();
         for k in 0..4 {
             assert_eq!(rt.array_get(dst, k, &mut c).unwrap(), 102 + k as i32);
         }
@@ -352,7 +374,7 @@ mod tests {
             byte_off: 0,
             byte_len: 32,
         };
-        unstage_to_array(&mut rt, &mut c, store, &dest, 2, &dt, 16).unwrap();
+        unstage_to_array(&mut rt, &mut c, Packed::Store(store), &dest, 2, &dt, 16).unwrap();
         let mut out = [0i32; 8];
         rt.array_read(dst, 0, &mut out, &mut c).unwrap();
         assert_eq!(out, [0, -1, -1, 3, 4, -1, -1, 7]);
@@ -391,7 +413,7 @@ mod tests {
             byte_len: len * 4,
         };
         let want = expected(&c);
-        unstage_to_array(&mut rt, &mut c, store, &dest, count, dt, n).unwrap();
+        unstage_to_array(&mut rt, &mut c, Packed::Store(store), &dest, count, dt, n).unwrap();
         assert_eq!(c.now(), want, "unstage of {dt:?}");
 
         // The scatter lands every typemap byte where the gather found it.
@@ -440,7 +462,7 @@ mod tests {
             byte_len: 16,
         };
         // Posted for 4 elements, only 2 arrived.
-        unstage_to_array(&mut rt, &mut c, store, &dest, 4, &INT, 8).unwrap();
+        unstage_to_array(&mut rt, &mut c, Packed::Store(store), &dest, 4, &INT, 8).unwrap();
         assert_eq!(rt.array_get(dst, 0, &mut c).unwrap(), 1);
         assert_eq!(rt.array_get(dst, 1, &mut c).unwrap(), 2);
         assert_eq!(rt.array_get(dst, 2, &mut c).unwrap(), 0);

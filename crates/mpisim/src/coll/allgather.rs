@@ -11,6 +11,7 @@ use crate::comm::CommHandle;
 use crate::datatype::Datatype;
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Mpi;
+use crate::payload::Payload;
 use vtime::VDur;
 
 fn pack_charged(mpi: &mut Mpi, buf: &[u8], count: usize, dt: &Datatype) -> MpiResult<Vec<u8>> {
@@ -70,15 +71,17 @@ pub fn allgather(
 
     let next = (me + 1) % p;
     let prev = (me + p - 1) % p;
-    let mut forward = mine; // packed block we pass along next
+    // The packed block we pass along next: ours, then the last received.
+    let mut forward: Option<Payload> = None;
     for s in 0..p - 1 {
         // The block arriving at step s originated s+1 ranks behind us.
         let incoming_id = (me + p - 1 - s) % p;
-        let sreq = cisend(mpi, &c, &forward, next, tags::ALLGATHER)?;
+        let block = forward.as_deref().unwrap_or(&mine);
+        let sreq = cisend(mpi, &c, block, next, tags::ALLGATHER)?;
         let got = crecv(mpi, &c, count * dt.size(), prev, tags::ALLGATHER)?;
         mpi.engine_mut().wait(sreq)?;
         unpack_block(mpi, &got, count, dt, recv, incoming_id * count)?;
-        forward = got.into_vec();
+        forward = Some(got);
     }
     Ok(())
 }
@@ -117,7 +120,7 @@ pub fn allgatherv(
 
     let next = (me + 1) % p;
     let prev = (me + p - 1) % p;
-    let mut forward = mine;
+    let mut forward: Option<Payload> = None;
     for s in 0..p - 1 {
         let incoming_id = (me + p - 1 - s) % p;
         let cnt = recvcounts[incoming_id];
@@ -125,11 +128,12 @@ pub fn allgatherv(
             return Err(MpiError::InvalidCount { count: cnt });
         }
         let cnt = cnt as usize;
-        let sreq = cisend(mpi, &c, &forward, next, tags::ALLGATHER + 1)?;
+        let block = forward.as_deref().unwrap_or(&mine);
+        let sreq = cisend(mpi, &c, block, next, tags::ALLGATHER + 1)?;
         let got = crecv(mpi, &c, cnt * dt.size(), prev, tags::ALLGATHER + 1)?;
         mpi.engine_mut().wait(sreq)?;
         unpack_block(mpi, &got, cnt, dt, recv, displs[incoming_id] as usize)?;
-        forward = got.into_vec();
+        forward = Some(got);
     }
     Ok(())
 }

@@ -11,6 +11,7 @@ use crate::comm::CommHandle;
 use crate::datatype::Datatype;
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Mpi;
+use crate::payload::Payload;
 use vtime::VDur;
 
 fn pack_charged(mpi: &mut Mpi, buf: &[u8], count: usize, dt: &Datatype) -> MpiResult<Vec<u8>> {
@@ -139,12 +140,15 @@ pub fn gatherv(
             return Err(MpiError::InvalidCount { count: cnt });
         }
         let cnt = cnt as usize;
-        let block = if r == root {
-            pack_charged(mpi, send, sendcount.min(cnt), dt)?.into_boxed_slice()
+        let (packed, got);
+        let block: &[u8] = if r == root {
+            packed = pack_charged(mpi, send, sendcount.min(cnt), dt)?;
+            &packed
         } else {
-            crecv(mpi, &c, cnt * dt.size(), r, tags::GATHER + 1)?
+            got = crecv(mpi, &c, cnt * dt.size(), r, tags::GATHER + 1)?;
+            &got
         };
-        unpack_at(mpi, &block, cnt, dt, out, displs[r] as usize)?;
+        unpack_at(mpi, block, cnt, dt, out, displs[r] as usize)?;
     }
     Ok(())
 }
@@ -166,8 +170,11 @@ pub fn scatter(
     let vrank = (c.me + p - root) % p;
     let real = |v: usize| (v + root) % p;
 
-    // vbuf holds packed blocks for vranks [vrank, vrank+owned).
-    let mut vbuf: Vec<u8>;
+    // vbuf holds packed blocks for vranks [vrank, vrank+owned): the
+    // root packs them, every other rank receives them.
+    let mut packed_blocks = Vec::new();
+    let got_blocks: Payload;
+    let vbuf: &[u8];
     let mut owned: usize;
     if c.me == root {
         let src = send.ok_or(MpiError::BufferTooSmall {
@@ -175,7 +182,7 @@ pub fn scatter(
             available: 0,
         })?;
         // Pack per-rank blocks into vrank order.
-        vbuf = Vec::with_capacity(p * bs);
+        packed_blocks.reserve(p * bs);
         for v in 0..p {
             let r = real(v);
             let start = r * count * dt.extent();
@@ -187,28 +194,19 @@ pub fn scatter(
                 });
             }
             let packed = pack_charged(mpi, &src[start..], count, dt)?;
-            vbuf.extend_from_slice(&packed);
+            packed_blocks.extend_from_slice(&packed);
         }
+        vbuf = &packed_blocks;
         owned = p;
     } else {
         // Receive phase of the binomial tree.
         let mut mask = 1usize;
-        let mut got_data: Option<Box<[u8]>> = None;
-        let mut got_blocks = 0usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                let parent = vrank - mask;
-                got_blocks = mask.min(p - vrank);
-                let got = crecv(mpi, &c, got_blocks * bs, real(parent), tags::SCATTER)?;
-                got_data = Some(got);
-                break;
-            }
+        while vrank & mask == 0 {
             mask <<= 1;
         }
-        vbuf = got_data
-            .expect("non-root always receives in scatter")
-            .into_vec();
-        owned = got_blocks;
+        owned = mask.min(p - vrank);
+        got_blocks = crecv(mpi, &c, owned * bs, real(vrank - mask), tags::SCATTER)?;
+        vbuf = &got_blocks;
     }
 
     // Send phase: peel the upper halves off to children.
@@ -226,7 +224,6 @@ pub fn scatter(
             let child_blocks = owned - mask;
             let frag = vbuf[mask * bs..(mask + child_blocks) * bs].to_vec();
             csend(mpi, &c, &frag, real(child), tags::SCATTER)?;
-            vbuf.truncate(mask * bs);
             owned = mask;
         }
         mask >>= 1;

@@ -35,6 +35,7 @@ use crate::comm::CommHandle;
 use crate::engine::ANY_TAG;
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Mpi;
+use crate::payload::Payload;
 
 /// Tag bases for internal collective traffic (above the user tag space;
 /// collective traffic additionally travels in its own context stream).
@@ -140,7 +141,7 @@ pub(crate) fn crecv(
     cap: usize,
     src: usize,
     tag: i32,
-) -> MpiResult<Box<[u8]>> {
+) -> MpiResult<Payload> {
     let world = cc.world(src) as i32;
     let (data, _) = mpi.engine_mut().recv_bytes(cap, world, tag, cc.ctx)?;
     Ok(data)
@@ -157,7 +158,7 @@ pub(crate) fn exchange(
     cap: usize,
     src: usize,
     tag: i32,
-) -> MpiResult<Box<[u8]>> {
+) -> MpiResult<Payload> {
     let sreq = cisend(mpi, cc, data, dst, tag)?;
     let got = crecv(mpi, cc, cap, src, tag)?;
     mpi.engine_mut().wait(sreq)?;
@@ -261,7 +262,7 @@ pub(crate) fn sub_cc(cc: &Cc, members: &[usize]) -> Option<(Cc, usize)> {
 
 /// Receive from any source within a collective (used only by tests).
 #[allow(dead_code)]
-pub(crate) fn crecv_any(mpi: &mut Mpi, cc: &Cc, cap: usize) -> MpiResult<Box<[u8]>> {
+pub(crate) fn crecv_any(mpi: &mut Mpi, cc: &Cc, cap: usize) -> MpiResult<Payload> {
     let (data, _) = mpi.engine_mut().recv_bytes(cap, -1, ANY_TAG, cc.ctx)?;
     Ok(data)
 }

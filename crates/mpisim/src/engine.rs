@@ -35,6 +35,7 @@ use vtime::{Clock, LogGp, VDur, VTime};
 
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
+use crate::payload::Payload;
 use crate::profile::{PathParams, Profile};
 
 /// Wildcard source (MPI_ANY_SOURCE) for receive matching.
@@ -116,7 +117,7 @@ pub enum Wire {
     /// Eagerly sent message with inline payload.
     Eager {
         env: Envelope,
-        data: Box<[u8]>,
+        data: Payload,
         stamp: FlowStamp,
     },
     /// Rendezvous request-to-send.
@@ -131,7 +132,7 @@ pub enum Wire {
     /// Rendezvous payload (conceptually an RDMA write).
     RndvData {
         env: Envelope,
-        data: Box<[u8]>,
+        data: Payload,
         stamp: FlowStamp,
     },
     /// Reliability-sublayer positive acknowledgement of frame `seq`
@@ -147,7 +148,7 @@ pub enum Wire {
         win: u32,
         epoch: u64,
         offset: usize,
-        data: Box<[u8]>,
+        data: Payload,
         stamp: FlowStamp,
     },
     /// One-sided read request: the target NIC answers with [`Wire::GetReply`]
@@ -166,7 +167,7 @@ pub enum Wire {
     /// response DMA'd straight into the origin's registered memory).
     GetReply {
         req: u64,
-        data: Box<[u8]>,
+        data: Payload,
         stamp: FlowStamp,
     },
     /// One-sided accumulate: element-wise `op` of the payload into window
@@ -176,23 +177,9 @@ pub enum Wire {
         epoch: u64,
         offset: usize,
         op: ReduceOp,
-        data: Box<[u8]>,
+        data: Payload,
         stamp: FlowStamp,
     },
-}
-
-impl Wire {
-    /// Bytes of payload the message carries (0 for control messages).
-    fn payload_len(&self) -> usize {
-        match self {
-            Wire::Eager { data, .. }
-            | Wire::RndvData { data, .. }
-            | Wire::Put { data, .. }
-            | Wire::GetReply { data, .. }
-            | Wire::Acc { data, .. } => data.len(),
-            Wire::Rts { .. } | Wire::Cts { .. } | Wire::Ack { .. } | Wire::GetReq { .. } => 0,
-        }
-    }
 }
 
 /// The unit the engine actually puts on the fabric: a [`Wire`] message
@@ -202,7 +189,8 @@ impl Wire {
 ///
 /// The wire content is shared (`Arc`) so retransmission clones a pointer,
 /// not the payload: the reliability sublayer allocates the message once
-/// however many copies the fabric ends up carrying.
+/// however many copies the fabric ends up carrying. A [`Wire`] clone
+/// shares its [`Payload`] bytes too.
 #[derive(Debug, Clone)]
 pub struct Frame {
     /// Per-(src,dst) sequence number (1-based; 0 marks control acks).
@@ -217,8 +205,9 @@ impl simfabric::FaultTarget for Frame {
     /// Bit-flip the frame the way a faulty wire would: payload bytes when
     /// there are any, otherwise the checksum itself (control frames).
     /// `seq` is left intact so the receiver can still attribute the frame.
-    /// `Arc::make_mut` unshares the wire first, so the sender's pristine
-    /// copy (needed for retransmission) is never damaged.
+    /// `Arc::make_mut` and [`Payload::make_mut`] unshare the wire and its
+    /// bytes first, so the sender's pristine copy (needed for
+    /// retransmission) is never damaged.
     fn corrupt(&mut self, salt: u64) {
         match Arc::make_mut(&mut self.wire) {
             Wire::Eager { data, .. }
@@ -229,7 +218,7 @@ impl simfabric::FaultTarget for Frame {
                 if !data.is_empty() =>
             {
                 let idx = (salt as usize) % data.len();
-                data[idx] ^= (salt as u8) | 1;
+                data.make_mut()[idx] ^= (salt as u8) | 1;
             }
             _ => self.checksum ^= salt | 1,
         }
@@ -434,7 +423,7 @@ enum Unexpected {
         env: Envelope,
         key: u64,
         arrival: VTime,
-        data: Box<[u8]>,
+        data: Payload,
         stamp: FlowStamp,
     },
     Rts {
@@ -467,7 +456,7 @@ enum SendState {
     /// Rendezvous: RTS injected, waiting for CTS.
     AwaitCts {
         dst: usize,
-        data: Box<[u8]>,
+        data: Payload,
         env: Envelope,
         stamp: FlowStamp,
     },
@@ -486,7 +475,7 @@ enum RecvState {
     Ready {
         env: Envelope,
         arrival: VTime,
-        data: Box<[u8]>,
+        data: Payload,
         /// True if the message took the unexpected path (extra copy).
         was_unexpected: bool,
         stamp: FlowStamp,
@@ -506,7 +495,7 @@ enum ReqState {
     /// traffic bypasses tag matching.
     RmaGet {
         target: usize,
-        state: Option<(Box<[u8]>, VTime)>,
+        state: Option<(Payload, VTime)>,
     },
 }
 
@@ -514,7 +503,7 @@ enum ReqState {
 #[derive(Debug)]
 pub struct Completion {
     /// Receive payload (empty for send requests).
-    pub data: Box<[u8]>,
+    pub data: Payload,
     /// Matching metadata.
     pub status: Status,
 }
@@ -571,7 +560,7 @@ pub struct Engine {
 /// advances, reproduces MPI's epoch semantics exactly: a deposit becomes
 /// visible at the fence that closes the epoch it was issued in.
 struct WinMem {
-    mem: Vec<u8>,
+    mem: Payload,
     /// Byte ranges of `mem` that remote deposits (puts, accumulates) have
     /// written since the owner last synchronized its user storage with
     /// it; [`Engine::win_publish`] leaves them alone.
@@ -970,7 +959,7 @@ impl Engine {
                 &path.loggp,
                 Wire::Eager {
                     env,
-                    data: data.into(),
+                    data: Payload::copy_from(data),
                     stamp,
                 },
             )?;
@@ -998,7 +987,7 @@ impl Engine {
             wallprof::add(WpCounter::CopyBytes, nbytes as u64);
             let req = self.alloc_req(ReqState::Send(SendState::AwaitCts {
                 dst,
-                data: data.into(),
+                data: Payload::copy_from(data),
                 env,
                 stamp,
             }));
@@ -1273,12 +1262,12 @@ impl Engine {
                 },
             );
         }
-        // Consume the shared wire: sole owner on the common path (no
-        // retransmission raced us), else clone out of the shared copy.
-        let wire = Arc::try_unwrap(frame.wire).unwrap_or_else(|shared| {
-            wallprof::add(WpCounter::CopyBytes, shared.payload_len() as u64);
-            (*shared).clone()
-        });
+        // Consume the shared wire: sole owner on the common path, else a
+        // clone that shares the payload bytes with the twin still in
+        // flight (a duplicate, or the sender's retransmission handle).
+        // Either way the receive deposits from the frame's own bytes, so
+        // the host copies do not depend on which thread let go first.
+        let wire = Arc::try_unwrap(frame.wire).unwrap_or_else(|shared| (*shared).clone());
         match wire {
             Wire::Eager { env, data, stamp } => {
                 if let Some((pos, rid)) = self.find_posted(&env) {
@@ -1701,7 +1690,7 @@ impl Engine {
             | ReqState::Send(SendState::RndvDone { complete_at }) => {
                 self.clock.merge(complete_at);
                 Ok(Completion {
-                    data: Box::new([]),
+                    data: Payload::default(),
                     status: Status {
                         source: self.rank(),
                         tag: 0,
@@ -1836,7 +1825,7 @@ impl Engine {
                     .checked_add(data.len())
                     .filter(|&e| e <= w.mem.len())
                     .ok_or(MpiError::ProtocolError("one-sided put outside the window"))?;
-                w.mem[offset..end].copy_from_slice(&data);
+                w.mem.make_mut()[offset..end].copy_from_slice(&data);
                 w.record_deposit(offset..end);
                 wallprof::add(WpCounter::CopyBytes, data.len() as u64);
                 obs::count(pvar::RMA_PUT_APPLIED, 1);
@@ -1863,7 +1852,7 @@ impl Engine {
                 // RDMA read: the target NIC serves the reply out of window
                 // memory, timed from the request's arrival — the target
                 // application clock is never touched.
-                let data: Box<[u8]> = {
+                let data = {
                     let Some(w) = self.windows.get(&win) else {
                         return Err(MpiError::ProtocolError(
                             "one-sided get from an unknown window",
@@ -1873,7 +1862,7 @@ impl Engine {
                         .checked_add(nbytes)
                         .filter(|&e| e <= w.mem.len())
                         .ok_or(MpiError::ProtocolError("one-sided get outside the window"))?;
-                    w.mem[offset..end].into()
+                    Payload::copy_from(&w.mem[offset..end])
                 };
                 wallprof::add(WpCounter::Allocs, 1); // reply payload capture above
                 wallprof::add(WpCounter::CopyBytes, nbytes as u64);
@@ -1924,7 +1913,8 @@ impl Engine {
                     .ok_or(MpiError::ProtocolError(
                         "one-sided accumulate outside the window",
                     ))?;
-                crate::op::apply(op, &crate::datatype::INT, &mut w.mem[offset..end], &data)?;
+                let mem = &mut w.mem.make_mut()[offset..end];
+                crate::op::apply(op, &crate::datatype::INT, mem, &data)?;
                 w.record_deposit(offset..end);
                 wallprof::add(WpCounter::CopyBytes, data.len() as u64);
                 obs::count(pvar::RMA_ACC_APPLIED, 1);
@@ -2018,7 +2008,7 @@ impl Engine {
     /// synchronize before targeting the window.
     pub fn win_create(&mut self, win: u32, size: usize) -> MpiResult<()> {
         let state = WinMem {
-            mem: vec![0u8; size],
+            mem: Payload::zeroed(size),
             deposited: Vec::new(),
             epoch: 0,
             deferred: Vec::new(),
@@ -2041,12 +2031,15 @@ impl Engine {
     }
 
     /// Read this rank's exposed window memory (the NIC view the fabric
-    /// deposits into). Zero virtual cost: local loads from pinned memory.
-    pub fn win_mem(&self, win: u32) -> MpiResult<&[u8]> {
-        self.windows
+    /// deposits into), lent beside the rank's clock so the caller can
+    /// charge a copy straight out of it. Zero virtual cost itself: local
+    /// loads from pinned memory.
+    pub fn win_mem(&mut self, win: u32) -> MpiResult<(&[u8], &mut Clock)> {
+        let w = self
+            .windows
             .get(&win)
-            .map(|w| &w.mem[..])
-            .ok_or(MpiError::ProtocolError("reading an unknown window"))
+            .ok_or(MpiError::ProtocolError("reading an unknown window"))?;
+        Ok((&w.mem[..], &mut self.clock))
     }
 
     /// Copy the owner's `image` of window `win` into its memory, except
@@ -2058,6 +2051,7 @@ impl Engine {
             .get_mut(&win)
             .ok_or(MpiError::ProtocolError("writing an unknown window"))?;
         let n = w.mem.len().min(image.len());
+        let mem = w.mem.make_mut();
         w.deposited.sort_unstable_by_key(|r| r.start);
         // Copy the gaps between deposits (which may overlap), then the
         // tail after the last one.
@@ -2065,7 +2059,7 @@ impl Engine {
         for r in w.deposited.iter().cloned().chain(std::iter::once(n..n)) {
             let end = r.start.min(n);
             if at < end {
-                w.mem[at..end].copy_from_slice(&image[at..end]);
+                mem[at..end].copy_from_slice(&image[at..end]);
                 copied += end - at;
             }
             at = at.max(r.end);
@@ -2139,7 +2133,7 @@ impl Engine {
                 win,
                 epoch,
                 offset,
-                data: data.into(),
+                data: Payload::copy_from(data),
                 stamp,
             },
         )?;
@@ -2193,7 +2187,7 @@ impl Engine {
                 epoch,
                 offset,
                 op,
-                data: data.into(),
+                data: Payload::copy_from(data),
                 stamp,
             },
         )?;
@@ -2347,7 +2341,7 @@ impl Engine {
         src: i32,
         tag: i32,
         context: u32,
-    ) -> MpiResult<(Box<[u8]>, Status)> {
+    ) -> MpiResult<(Payload, Status)> {
         let r = self.irecv_bytes(capacity, src, tag, context)?;
         let c = self.wait(r)?;
         let bytes = c.data.len();
@@ -2371,6 +2365,14 @@ mod tests {
             let mut e = Engine::new(ep, Profile::mvapich2());
             f(&mut e)
         })
+    }
+
+    #[test]
+    fn wire_stays_eight_words() {
+        // Every frame and deferred one-sided message holds a `Wire`; a
+        // payload handle must fit beside the largest variant's header
+        // fields without growing it.
+        assert!(std::mem::size_of::<Wire>() <= 64);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   a real pack engine ([`datatype`]);
 //! * reduction operations over the Java basic types ([`op`]);
 //! * a per-rank progress engine with tag/source/context matching, eager
-//!   and rendezvous protocols, and request objects ([`engine`]);
+//!   and rendezvous protocols, and request objects ([`engine`]), whose
+//!   payloads recycle large storage through one free list ([`payload`]);
 //! * communicators and groups ([`comm`]);
 //! * blocking collectives with multiple algorithms — binomial trees,
 //!   scatter+allgather, recursive doubling, Rabenseifner, ring, pairwise
@@ -32,6 +33,7 @@ pub mod engine;
 pub mod error;
 pub mod mpi;
 pub mod op;
+pub mod payload;
 pub mod profile;
 pub mod rma;
 
@@ -44,6 +46,7 @@ pub use mpi::{
     RmaGet, Win,
 };
 pub use op::ReduceOp;
+pub use payload::Payload;
 pub use profile::{CollTuning, PathParams, Profile};
 pub use rma::{RegCache, RegLookup};
 pub use simfabric::EngineMode;

@@ -19,6 +19,7 @@ use crate::datatype::Datatype;
 use crate::engine::{Completion, Engine, Frame, Request, Status};
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
+use crate::payload::Payload;
 use crate::profile::Profile;
 use crate::rma::{RegCache, RegLookup};
 
@@ -1284,9 +1285,12 @@ impl Mpi {
     }
 
     /// Read this rank's exposed window memory (the NIC view deposits land
-    /// in). Zero virtual cost — callers synchronize via epochs.
-    pub fn win_mem(&self, win: Win) -> MpiResult<&[u8]> {
-        self.eng.win_mem(self.win_info(win)?.id)
+    /// in), lent beside the rank's clock so the caller can charge a copy
+    /// straight out of it. Zero virtual cost itself — callers synchronize
+    /// via epochs.
+    pub fn win_mem(&mut self, win: Win) -> MpiResult<(&[u8], &mut Clock)> {
+        let id = self.win_info(win)?.id;
+        self.eng.win_mem(id)
     }
 
     /// Publish the user's image of this rank's window into the NIC view:
@@ -1427,7 +1431,7 @@ impl Mpi {
         comm: CommHandle,
         puts: Vec<(usize, VTime)>,
         gets: Vec<(usize, RmaGet)>,
-    ) -> MpiResult<Vec<(RmaGet, Box<[u8]>)>> {
+    ) -> MpiResult<Vec<(RmaGet, Payload)>> {
         for (_, arrival) in puts {
             self.eng.clock_mut().merge(arrival);
         }
@@ -1449,7 +1453,7 @@ impl Mpi {
     /// completion causally depends on every origin's entry, which in turn
     /// follows its last put's injection — the fabric delivers in causal
     /// order, so the deposits are drained before the barrier completes.
-    pub fn win_fence(&mut self, win: Win) -> MpiResult<Vec<(RmaGet, Box<[u8]>)>> {
+    pub fn win_fence(&mut self, win: Win) -> MpiResult<Vec<(RmaGet, Payload)>> {
         let progressed = self.nb_progress();
         let comm = self.win_info(win)?.comm;
         self.route(comm, progressed)?;
@@ -1520,7 +1524,7 @@ impl Mpi {
     /// End a passive-target epoch (MPI_Win_unlock): flush every operation
     /// issued to `target` under the lock, then release with another
     /// control round trip. Completed get payloads return in issue order.
-    pub fn win_unlock(&mut self, win: Win, target: usize) -> MpiResult<Vec<(RmaGet, Box<[u8]>)>> {
+    pub fn win_unlock(&mut self, win: Win, target: usize) -> MpiResult<Vec<(RmaGet, Payload)>> {
         let progressed = self.nb_progress();
         let comm = self.win_info(win)?.comm;
         self.route(comm, progressed)?;

@@ -341,16 +341,21 @@ impl Runtime {
     ) -> MrtResult<()> {
         clock.charge(self.cost.memcpy(len));
         let from = self.direct.range(b, off, len)?;
-        let to = self.heap.bytes_mut(dst)?;
-        let length = to.len();
-        let to = to
-            .get_mut(dst_off..dst_off + len)
-            .ok_or(MrtError::IndexOutOfBounds {
-                index: dst_off + len,
-                length,
-            })?;
-        to.copy_from_slice(from);
-        Ok(())
+        copy_into_heap(&mut self.heap, from, dst, dst_off)
+    }
+
+    /// Copy `bytes` from outside the runtime (native memory) into the
+    /// managed object `dst` at byte `dst_off`. Charges what
+    /// [`Runtime::direct_read_into_heap`] charges for as many bytes.
+    pub fn write_into_heap(
+        &mut self,
+        bytes: &[u8],
+        dst: Handle,
+        dst_off: usize,
+        clock: &mut Clock,
+    ) -> MrtResult<()> {
+        clock.charge(self.cost.memcpy(bytes.len()));
+        copy_into_heap(&mut self.heap, bytes, dst, dst_off)
     }
 
     /// Copy a managed array region into a direct buffer (typed
@@ -480,6 +485,17 @@ impl Runtime {
         v.encode(&mut bytes[byte_idx..], b.order);
         Ok(())
     }
+}
+
+/// Copy `from` into the managed object `dst` at byte `dst_off`.
+fn copy_into_heap(heap: &mut Heap, from: &[u8], dst: Handle, dst_off: usize) -> MrtResult<()> {
+    let to = heap.bytes_mut(dst)?;
+    let length = to.len();
+    let end = dst_off + from.len();
+    to.get_mut(dst_off..end)
+        .ok_or(MrtError::IndexOutOfBounds { index: end, length })?
+        .copy_from_slice(from);
+    Ok(())
 }
 
 #[cfg(test)]
