@@ -12,6 +12,7 @@ use mpisim::{Frame, Mpi, Profile};
 use mpjbuf::{BufferPool, PoolStats};
 use mrt::prim::Prim;
 use mrt::{DirectBuffer, GcStats, JArray, MrtResult, Runtime};
+use obs::wallprof::{self, Counter};
 use simfabric::{run_cluster_on, EngineMode, FaultPlan, Topology};
 use vtime::{CostModel, VDur, VTime};
 
@@ -278,18 +279,22 @@ impl Env {
     /// of the region for the native call (see [`Env::snapshot`]).
     pub(crate) fn crossing(&mut self, r: Region) -> BindResult<Vec<u8>> {
         let bytes = nif::get_direct_buffer_address(&self.rt, self.mpi.clock_mut(), r.buf)?;
+        wallprof::add(Counter::CopyBytes, r.len as u64);
         Ok(bytes[..r.len].to_vec())
     }
 
     /// Uncharged snapshot of a region (the native library reads it in
     /// place; the copy is a simulation artifact).
     pub(crate) fn snapshot(&self, r: Region) -> BindResult<Vec<u8>> {
-        Ok(self.rt.direct_bytes(r.buf)?[..r.len].to_vec())
+        let bytes = self.rt.direct_bytes(r.buf)?[..r.len].to_vec();
+        wallprof::add(Counter::CopyBytes, r.len as u64);
+        Ok(bytes)
     }
 
     /// Uncharged deposit back into a region (native DMA).
     pub(crate) fn deposit(&mut self, r: Region, bytes: &[u8]) -> BindResult<()> {
         self.rt.direct_bytes_mut(r.buf)?[..bytes.len()].copy_from_slice(bytes);
+        wallprof::add(Counter::CopyBytes, bytes.len() as u64);
         Ok(())
     }
 

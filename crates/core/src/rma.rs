@@ -448,7 +448,6 @@ impl Env {
                     // buffer — uncharged.
                     let n = r.len.min(data.len());
                     self.deposit(r, &data[..n])?;
-                    wallprof::add(Counter::CopyBytes, n as u64);
                 }
                 GetDest::Array(s) => self.unstage_bytes(s, &data)?,
             }
