@@ -12,42 +12,6 @@ use crate::datatype::Datatype;
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Mpi;
 use crate::payload::Payload;
-use vtime::VDur;
-
-fn pack_charged(mpi: &mut Mpi, buf: &[u8], count: usize, dt: &Datatype) -> MpiResult<Vec<u8>> {
-    let p = dt.pack(buf, count)?;
-    if !dt.is_contiguous() {
-        let per_byte = mpi.profile().pack_per_byte_ns;
-        mpi.clock_mut()
-            .charge(VDur::from_nanos(p.len() as f64 * per_byte));
-    }
-    Ok(p)
-}
-
-fn unpack_block(
-    mpi: &mut Mpi,
-    data: &[u8],
-    count: usize,
-    dt: &Datatype,
-    out: &mut [u8],
-    elem_offset: usize,
-) -> MpiResult<()> {
-    let start = elem_offset * dt.extent();
-    let end = start + dt.span(count);
-    if out.len() < end {
-        return Err(MpiError::BufferTooSmall {
-            needed: end,
-            available: out.len(),
-        });
-    }
-    dt.unpack(data, count, &mut out[start..end])?;
-    if !dt.is_contiguous() {
-        let per_byte = mpi.profile().pack_per_byte_ns;
-        mpi.clock_mut()
-            .charge(VDur::from_nanos(data.len() as f64 * per_byte));
-    }
-    Ok(())
-}
 
 /// MPI_Allgather (equal contributions): ring.
 pub fn allgather(
@@ -61,10 +25,10 @@ pub fn allgather(
     let c = cc(mpi, comm)?;
     let p = c.size();
     let me = c.me;
-    let mine = pack_charged(mpi, send, count, dt)?;
+    let mine = mpi.pack_payload(send, 0, count, dt)?;
 
     // Own block.
-    unpack_block(mpi, &mine, count, dt, recv, me * count)?;
+    mpi.unpack_payload(&mine, count, dt, recv, me * count)?;
     if p == 1 {
         return Ok(());
     }
@@ -80,7 +44,7 @@ pub fn allgather(
         let sreq = cisend(mpi, &c, block, next, tags::ALLGATHER)?;
         let got = crecv(mpi, &c, count * dt.size(), prev, tags::ALLGATHER)?;
         mpi.engine_mut().wait(sreq)?;
-        unpack_block(mpi, &got, count, dt, recv, incoming_id * count)?;
+        mpi.unpack_payload(&got, count, dt, recv, incoming_id * count)?;
         forward = Some(got);
     }
     Ok(())
@@ -112,8 +76,8 @@ pub fn allgatherv(
             "allgatherv sendcount must equal recvcounts[me]",
         ));
     }
-    let mine = pack_charged(mpi, send, sendcount, dt)?;
-    unpack_block(mpi, &mine, sendcount, dt, recv, displs[me] as usize)?;
+    let mine = mpi.pack_payload(send, 0, sendcount, dt)?;
+    mpi.unpack_payload(&mine, sendcount, dt, recv, displs[me] as usize)?;
     if p == 1 {
         return Ok(());
     }
@@ -132,7 +96,7 @@ pub fn allgatherv(
         let sreq = cisend(mpi, &c, block, next, tags::ALLGATHER + 1)?;
         let got = crecv(mpi, &c, cnt * dt.size(), prev, tags::ALLGATHER + 1)?;
         mpi.engine_mut().wait(sreq)?;
-        unpack_block(mpi, &got, cnt, dt, recv, displs[incoming_id] as usize)?;
+        mpi.unpack_payload(&got, cnt, dt, recv, displs[incoming_id] as usize)?;
         forward = Some(got);
     }
     Ok(())

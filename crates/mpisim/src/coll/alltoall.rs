@@ -9,55 +9,6 @@ use crate::comm::CommHandle;
 use crate::datatype::Datatype;
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Mpi;
-use vtime::VDur;
-
-fn pack_block(
-    mpi: &mut Mpi,
-    buf: &[u8],
-    elem_offset: usize,
-    count: usize,
-    dt: &Datatype,
-) -> MpiResult<Vec<u8>> {
-    let start = elem_offset * dt.extent();
-    if buf.len() < start + dt.span(count) {
-        return Err(MpiError::BufferTooSmall {
-            needed: start + dt.span(count),
-            available: buf.len(),
-        });
-    }
-    let p = dt.pack(&buf[start..], count)?;
-    if !dt.is_contiguous() {
-        let per_byte = mpi.profile().pack_per_byte_ns;
-        mpi.clock_mut()
-            .charge(VDur::from_nanos(p.len() as f64 * per_byte));
-    }
-    Ok(p)
-}
-
-fn unpack_block(
-    mpi: &mut Mpi,
-    data: &[u8],
-    count: usize,
-    dt: &Datatype,
-    out: &mut [u8],
-    elem_offset: usize,
-) -> MpiResult<()> {
-    let start = elem_offset * dt.extent();
-    let end = start + dt.span(count);
-    if out.len() < end {
-        return Err(MpiError::BufferTooSmall {
-            needed: end,
-            available: out.len(),
-        });
-    }
-    dt.unpack(data, count, &mut out[start..end])?;
-    if !dt.is_contiguous() {
-        let per_byte = mpi.profile().pack_per_byte_ns;
-        mpi.clock_mut()
-            .charge(VDur::from_nanos(data.len() as f64 * per_byte));
-    }
-    Ok(())
-}
 
 /// MPI_Alltoall (equal blocks of `count` elements).
 pub fn alltoall(
@@ -73,17 +24,17 @@ pub fn alltoall(
     let me = c.me;
 
     // Step 0: local block.
-    let own = pack_block(mpi, send, me * count, count, dt)?;
-    unpack_block(mpi, &own, count, dt, recv, me * count)?;
+    let own = mpi.pack_payload(send, me * count, count, dt)?;
+    mpi.unpack_payload(&own, count, dt, recv, me * count)?;
 
     for s in 1..p {
         let dst = (me + s) % p;
         let src = (me + p - s) % p;
-        let out = pack_block(mpi, send, dst * count, count, dt)?;
+        let out = mpi.pack_payload(send, dst * count, count, dt)?;
         let sreq = cisend(mpi, &c, &out, dst, tags::ALLTOALL)?;
         let got = crecv(mpi, &c, count * dt.size(), src, tags::ALLTOALL)?;
         mpi.engine_mut().wait(sreq)?;
-        unpack_block(mpi, &got, count, dt, recv, src * count)?;
+        mpi.unpack_payload(&got, count, dt, recv, src * count)?;
     }
     Ok(())
 }
@@ -121,9 +72,8 @@ pub fn alltoallv(
         }
     }
 
-    let own = pack_block(mpi, send, sdispls[me] as usize, sendcounts[me] as usize, dt)?;
-    unpack_block(
-        mpi,
+    let own = mpi.pack_payload(send, sdispls[me] as usize, sendcounts[me] as usize, dt)?;
+    mpi.unpack_payload(
         &own,
         recvcounts[me] as usize,
         dt,
@@ -134,13 +84,7 @@ pub fn alltoallv(
     for s in 1..p {
         let dst = (me + s) % p;
         let src = (me + p - s) % p;
-        let out = pack_block(
-            mpi,
-            send,
-            sdispls[dst] as usize,
-            sendcounts[dst] as usize,
-            dt,
-        )?;
+        let out = mpi.pack_payload(send, sdispls[dst] as usize, sendcounts[dst] as usize, dt)?;
         let sreq = cisend(mpi, &c, &out, dst, tags::ALLTOALL + 1)?;
         let got = crecv(
             mpi,
@@ -150,8 +94,7 @@ pub fn alltoallv(
             tags::ALLTOALL + 1,
         )?;
         mpi.engine_mut().wait(sreq)?;
-        unpack_block(
-            mpi,
+        mpi.unpack_payload(
             &got,
             recvcounts[src] as usize,
             dt,

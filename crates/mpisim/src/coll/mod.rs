@@ -13,8 +13,13 @@
 //!   binomial/recursive-doubling/pipeline algorithms with heavier
 //!   per-call and per-hop software overheads.
 //!
-//! All algorithms operate on *packed* byte payloads; entry points pack and
-//! unpack derived datatypes at the edges (charging the native pack engine).
+//! All algorithms operate on *packed* byte payloads. Entry points cross
+//! into that domain through [`Mpi::pack_payload`] and
+//! [`Mpi::unpack_payload`], which borrow a contiguous layout's bytes and
+//! pack (charging the native pack engine) only a non-contiguous one.
+//! Fragments are sent as borrowed slices of the payload, and received
+//! fragments are deposited straight into it ([`crecv_into`],
+//! [`exchange_into`]).
 
 mod allgather;
 mod alltoall;
@@ -29,10 +34,12 @@ pub use bcast::bcast;
 pub use gather::{gather, gatherv, scatter, scatterv};
 pub use reduce::{allreduce, reduce};
 
+use std::ops::Range;
+
+use obs::wallprof::{self, Counter};
 use vtime::VDur;
 
 use crate::comm::CommHandle;
-use crate::engine::ANY_TAG;
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Mpi;
 use crate::payload::Payload;
@@ -147,6 +154,22 @@ pub(crate) fn crecv(
     Ok(data)
 }
 
+/// Internal blocking receive of a fragment from communicator rank `src`,
+/// deposited into the front of `dst` (at most `dst.len()` bytes): the
+/// one host copy of a received fragment.
+pub(crate) fn crecv_into(
+    mpi: &mut Mpi,
+    cc: &Cc,
+    dst: &mut [u8],
+    src: usize,
+    tag: i32,
+) -> MpiResult<()> {
+    let got = crecv(mpi, cc, dst.len(), src, tag)?;
+    dst[..got.len()].copy_from_slice(&got);
+    wallprof::add(Counter::CopyBytes, got.len() as u64);
+    Ok(())
+}
+
 /// Simultaneous exchange with a partner: isend to `dst`, recv from `src`,
 /// complete the send. The workhorse of ring and recursive-doubling
 /// algorithms.
@@ -163,6 +186,42 @@ pub(crate) fn exchange(
     let got = crecv(mpi, cc, cap, src, tag)?;
     mpi.engine_mut().wait(sreq)?;
     Ok(got)
+}
+
+/// [`exchange`] within one payload: send `buf[send]` to `dst` and
+/// deposit what `src` sends into `buf[recv]`. The send captures its
+/// bytes before the receive lands.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn exchange_into(
+    mpi: &mut Mpi,
+    cc: &Cc,
+    buf: &mut [u8],
+    send: Range<usize>,
+    dst: usize,
+    recv: Range<usize>,
+    src: usize,
+    tag: i32,
+) -> MpiResult<()> {
+    let sreq = cisend(mpi, cc, &buf[send], dst, tag)?;
+    crecv_into(mpi, cc, &mut buf[recv], src, tag)?;
+    mpi.engine_mut().wait(sreq)?;
+    Ok(())
+}
+
+/// Byte range of block `i` when `n` bytes split into `p` near-equal
+/// blocks.
+pub(crate) fn block_range(n: usize, p: usize, i: usize) -> (usize, usize) {
+    let bs = n.div_ceil(p);
+    let lo = (bs * i).min(n);
+    let hi = (bs * (i + 1)).min(n);
+    (lo, hi)
+}
+
+/// [`block_range`] with boundaries on `elem`-byte base elements, so a
+/// reduction always sees whole elements.
+pub(crate) fn elem_block_range(n: usize, elem: usize, p: usize, i: usize) -> (usize, usize) {
+    let (lo, hi) = block_range(n / elem, p, i);
+    (lo * elem, hi * elem)
 }
 
 /// Validate a collective root argument.
@@ -200,9 +259,6 @@ pub fn barrier(mpi: &mut Mpi, comm: CommHandle) -> MpiResult<()> {
 /// Hierarchy description used by two-level algorithms.
 #[derive(Debug)]
 pub(crate) struct Hierarchy {
-    /// Communicator rank of this rank's node leader.
-    #[allow(dead_code)] // part of the hierarchy API; algorithms use my_node[0]
-    pub my_leader: usize,
     /// All node leaders (lowest comm rank per node), in node order of
     /// appearance.
     pub leaders: Vec<usize>,
@@ -231,10 +287,8 @@ pub(crate) fn hierarchy(mpi: &Mpi, cc: &Cc) -> Hierarchy {
             my_node.push(cr);
         }
     }
-    let my_leader = my_node[0];
     let leader_index = leaders.iter().position(|&l| l == cc.me);
     Hierarchy {
-        my_leader,
         leaders,
         leader_index,
         my_node,
@@ -258,11 +312,4 @@ pub(crate) fn sub_cc(cc: &Cc, members: &[usize]) -> Option<(Cc, usize)> {
         },
         me,
     ))
-}
-
-/// Receive from any source within a collective (used only by tests).
-#[allow(dead_code)]
-pub(crate) fn crecv_any(mpi: &mut Mpi, cc: &Cc, cap: usize) -> MpiResult<Payload> {
-    let (data, _) = mpi.engine_mut().recv_bytes(cap, -1, ANY_TAG, cc.ctx)?;
-    Ok(data)
 }

@@ -379,43 +379,84 @@ impl Mpi {
             })
     }
 
-    /// The dense payload for `count` elements of `dt` from `buf`: the
-    /// caller's own bytes for a contiguous layout, else a packed copy,
-    /// charging the native pack engine.
-    fn pack_payload<'b>(
+    /// The dense payload for `count` elements of `dt`, starting
+    /// `elem_offset` elements into `buf`: the caller's own bytes for a
+    /// contiguous layout, else a packed copy, charging the native pack
+    /// engine. With [`Mpi::unpack_payload`], the one place the packed-bytes
+    /// rule lives.
+    pub(crate) fn pack_payload<'b>(
         &mut self,
         buf: &'b [u8],
+        elem_offset: usize,
         count: usize,
         dt: &Datatype,
     ) -> MpiResult<Cow<'b, [u8]>> {
+        let start = elem_offset * dt.extent();
+        let end = start + dt.span(count);
+        let src = buf.get(start..end).ok_or(MpiError::BufferTooSmall {
+            needed: end,
+            available: buf.len(),
+        })?;
         if dt.is_contiguous() {
-            let needed = dt.span(count);
-            return buf
-                .get(..needed)
-                .map(Cow::Borrowed)
-                .ok_or(MpiError::BufferTooSmall {
-                    needed,
-                    available: buf.len(),
-                });
+            return Ok(Cow::Borrowed(src));
         }
-        let payload = dt.pack(buf, count)?;
-        let per_byte = self.eng.profile().pack_per_byte_ns;
-        self.eng
-            .clock_mut()
-            .charge(VDur::from_nanos(payload.len() as f64 * per_byte));
+        let payload = dt.pack(src, count)?;
+        self.charge_pack(payload.len());
         Ok(Cow::Owned(payload))
     }
 
-    /// [`Mpi::pack_payload`] into storage of its own, for a schedule that
-    /// reads its input after the call returns.
-    fn pack_owned(&mut self, buf: &[u8], count: usize, dt: &Datatype) -> MpiResult<Vec<u8>> {
-        Ok(match self.pack_payload(buf, count, dt)? {
+    /// [`Mpi::pack_payload`] into storage of its own, for an accumulator
+    /// or a schedule that reads its input after the call returns.
+    pub(crate) fn pack_owned(
+        &mut self,
+        buf: &[u8],
+        count: usize,
+        dt: &Datatype,
+    ) -> MpiResult<Vec<u8>> {
+        Ok(match self.pack_payload(buf, 0, count, dt)? {
             Cow::Borrowed(b) => {
                 wallprof::add(Counter::CopyBytes, b.len() as u64);
                 b.to_vec()
             }
             Cow::Owned(v) => v,
         })
+    }
+
+    /// Deposit the dense `data` (at most `count` elements of `dt`)
+    /// starting `elem_offset` elements into `out`, charging the native
+    /// pack engine for a non-contiguous layout. A short `out` is reported
+    /// in whole-buffer terms.
+    pub(crate) fn unpack_payload(
+        &mut self,
+        data: &[u8],
+        count: usize,
+        dt: &Datatype,
+        out: &mut [u8],
+        elem_offset: usize,
+    ) -> MpiResult<()> {
+        let start = elem_offset * dt.extent();
+        let available = out.len();
+        let dst = out.get_mut(start..).unwrap_or_default();
+        dt.unpack(data, count, dst).map_err(|e| match e {
+            MpiError::BufferTooSmall { needed, .. } => MpiError::BufferTooSmall {
+                needed: start + needed,
+                available,
+            },
+            e => e,
+        })?;
+        if !dt.is_contiguous() {
+            self.charge_pack(data.len());
+        }
+        Ok(())
+    }
+
+    /// The native pack engine's cost for `bytes` of a non-contiguous
+    /// layout.
+    fn charge_pack(&mut self, bytes: usize) {
+        let per_byte = self.eng.profile().pack_per_byte_ns;
+        self.eng
+            .clock_mut()
+            .charge(VDur::from_nanos(bytes as f64 * per_byte));
     }
 
     /// Blocking standard-mode send (MPI_Send).
@@ -465,7 +506,7 @@ impl Mpi {
         self.route(comm, progressed)?;
         let wdst = self.world_dst(comm, dst)?;
         let ctx = self.info(comm)?.pt2pt_context();
-        let payload = self.pack_payload(buf, count, dt)?;
+        let payload = self.pack_payload(buf, 0, count, dt)?;
         let raw = self.eng.isend_bytes(&payload, wdst, tag, ctx);
         let raw = self.route(comm, raw)?;
         Ok(MpiRequest {
@@ -534,13 +575,7 @@ impl Mpi {
                     needed: bytes,
                     available: 0,
                 })?;
-                dt.unpack(&completion.data, *count, out)?;
-                if !dt.is_contiguous() {
-                    let per_byte = self.eng.profile().pack_per_byte_ns;
-                    self.eng
-                        .clock_mut()
-                        .charge(VDur::from_nanos(bytes as f64 * per_byte));
-                }
+                self.unpack_payload(&completion.data, *count, dt, out, 0)?;
                 Ok(Status { bytes, ..status })
             }
         }
@@ -1061,13 +1096,7 @@ impl Mpi {
                     needed: bytes,
                     available: 0,
                 })?;
-                dt.unpack(&data, count, out)?;
-                if !dt.is_contiguous() {
-                    let per_byte = self.eng.profile().pack_per_byte_ns;
-                    self.eng
-                        .clock_mut()
-                        .charge(VDur::from_nanos(bytes as f64 * per_byte));
-                }
+                self.unpack_payload(&data, count, &dt, out, 0)?;
                 Ok(Status {
                     source: my_rank,
                     tag: 0,

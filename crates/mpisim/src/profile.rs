@@ -85,9 +85,10 @@ pub struct CollTuning {
     /// vectors).
     pub two_level_fanin_max: usize,
     /// Bcast: payloads ≤ this use the binomial tree; larger payloads use
-    /// scatter + allgather (hierarchical) or a pipelined chain (flat).
+    /// scatter + allgather (hierarchical) or a segmented binomial tree
+    /// (flat).
     pub bcast_binomial_max: usize,
-    /// Segment size of the flat pipelined-chain bcast.
+    /// Segment size of the flat segmented-binomial bcast.
     pub bcast_segment: usize,
     /// Allreduce: payloads ≤ this use recursive doubling; larger use
     /// Rabenseifner (reduce-scatter + allgather) or — if

@@ -5,7 +5,7 @@
 //! the small/large algorithm switchovers.
 
 use mpisim::datatype::{DOUBLE, INT};
-use mpisim::{run_mpi, BasicType, Datatype, Profile, ReduceOp};
+use mpisim::{run_mpi, BasicType, Datatype, Mpi, MpiError, MpiResult, Profile, ReduceOp};
 use simfabric::Topology;
 
 fn ints(v: &[i32]) -> Vec<u8> {
@@ -406,4 +406,366 @@ fn hierarchical_collectives_beat_flat_on_multinode() {
         om > 1.3 * mv,
         "Open MPI profile should be clearly slower on multi-node allreduce: mv={mv} om={om}"
     );
+}
+
+/// Gap ints of a strided buffer: no collective may read or write them.
+const GAP: i32 = -7;
+/// Data ints of a receive buffer before the collective writes them.
+const FILL: i32 = -1;
+/// Root of the rooted collectives below (not 0, so vranks matter).
+const ROOT: usize = 1;
+
+/// Two layouts of the same logical elements, a pair of ints each:
+/// dense, or strided with a gap int inside every element.
+#[derive(Clone, Copy, Debug)]
+enum Layout {
+    Dense,
+    Strided,
+}
+
+impl Layout {
+    fn dt(self) -> Datatype {
+        match self {
+            Layout::Dense => Datatype::contiguous(2, INT),
+            Layout::Strided => Datatype::vector(2, 1, 2, INT).unwrap(),
+        }
+    }
+
+    /// `vals` (two per element) laid out in this layout.
+    fn buf(self, vals: &[i32]) -> Vec<u8> {
+        match self {
+            Layout::Dense => ints(vals),
+            Layout::Strided => {
+                let laid: Vec<i32> = vals.chunks(2).flat_map(|e| [e[0], GAP, e[1]]).collect();
+                ints(&laid)
+            }
+        }
+    }
+
+    /// The logical values of `buf`, and whether every gap still holds
+    /// [`GAP`].
+    fn read(self, buf: &[u8]) -> (Vec<i32>, bool) {
+        let all = to_ints(buf);
+        match self {
+            Layout::Dense => (all, true),
+            Layout::Strided => (
+                all.chunks(3).flat_map(|e| [e[0], e[2]]).collect(),
+                all.chunks(3).all(|e| e[1] == GAP),
+            ),
+        }
+    }
+
+    /// `elems` elements of rank `r`'s distinct values.
+    fn mine(self, r: usize, elems: usize) -> Vec<u8> {
+        let vals: Vec<i32> = (0..2 * elems).map(|i| (r * 100_000 + i) as i32).collect();
+        self.buf(&vals)
+    }
+
+    /// `elems` elements of [`FILL`].
+    fn blank(self, elems: usize) -> Vec<u8> {
+        self.buf(&vec![FILL; 2 * elems])
+    }
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Coll {
+    Bcast,
+    Reduce,
+    Allreduce,
+    Gather,
+    Gatherv,
+    Scatter,
+    Scatterv,
+    Allgather,
+    Allgatherv,
+    Alltoall,
+    Alltoallv,
+}
+
+impl Coll {
+    const ALL: [Coll; 11] = [
+        Coll::Bcast,
+        Coll::Reduce,
+        Coll::Allreduce,
+        Coll::Gather,
+        Coll::Gatherv,
+        Coll::Scatter,
+        Coll::Scatterv,
+        Coll::Allgather,
+        Coll::Allgatherv,
+        Coll::Alltoall,
+        Coll::Alltoallv,
+    ];
+
+    /// Whether rank `r` receives a result.
+    fn receives(self, r: usize) -> bool {
+        !matches!(self, Coll::Reduce | Coll::Gather | Coll::Gatherv) || r == ROOT
+    }
+}
+
+/// Element displacements of back-to-back blocks of `counts` elements.
+fn displs(counts: &[i32]) -> Vec<i32> {
+    counts
+        .iter()
+        .scan(0, |at, &c| {
+            let d = *at;
+            *at += c;
+            Some(d)
+        })
+        .collect()
+}
+
+fn total(counts: &[i32]) -> usize {
+    counts.iter().sum::<i32>() as usize
+}
+
+/// Run `coll` over `n`-element blocks in layout `l` and return this
+/// rank's receive buffer (the broadcast buffer for bcast). Vectored
+/// blocks hold `n + r` elements for rank `r`; alltoallv sends `n + (i +
+/// j) % 3` elements from rank `i` to rank `j`.
+fn run_coll(mpi: &mut Mpi, coll: Coll, l: Layout, n: usize) -> Vec<u8> {
+    let w = mpi.world();
+    let me = mpi.rank(w).unwrap();
+    let p = mpi.size(w).unwrap();
+    let dt = l.dt();
+    let vc: Vec<i32> = (0..p).map(|r| (n + r) as i32).collect();
+    let vd = displs(&vc);
+    let at_root = me == ROOT;
+    let c = n as i32;
+    let mut recv;
+    match coll {
+        Coll::Bcast => {
+            recv = if me == ROOT {
+                l.mine(me, n)
+            } else {
+                l.blank(n)
+            };
+            mpi.bcast(&mut recv, c, &dt, ROOT, w).unwrap();
+        }
+        Coll::Reduce => {
+            recv = l.blank(n);
+            let send = l.mine(me, n);
+            mpi.reduce(
+                &send,
+                at_root.then_some(&mut recv[..]),
+                c,
+                &dt,
+                ReduceOp::Sum,
+                ROOT,
+                w,
+            )
+            .unwrap();
+        }
+        Coll::Allreduce => {
+            recv = l.blank(n);
+            let send = l.mine(me, n);
+            mpi.allreduce(&send, &mut recv, c, &dt, ReduceOp::Sum, w)
+                .unwrap();
+        }
+        Coll::Gather => {
+            recv = l.blank(n * p);
+            let send = l.mine(me, n);
+            mpi.gather(&send, at_root.then_some(&mut recv[..]), c, &dt, ROOT, w)
+                .unwrap();
+        }
+        Coll::Gatherv => {
+            recv = l.blank(total(&vc));
+            let send = l.mine(me, vc[me] as usize);
+            mpi.gatherv(
+                &send,
+                vc[me],
+                at_root.then_some(&mut recv[..]),
+                &vc,
+                &vd,
+                &dt,
+                ROOT,
+                w,
+            )
+            .unwrap();
+        }
+        Coll::Scatter => {
+            recv = l.blank(n);
+            let send = l.mine(me, n * p);
+            let src = (me == ROOT).then_some(&send[..]);
+            mpi.scatter(src, &mut recv, c, &dt, ROOT, w).unwrap();
+        }
+        Coll::Scatterv => {
+            recv = l.blank(vc[me] as usize);
+            let send = l.mine(me, total(&vc));
+            let src = (me == ROOT).then_some(&send[..]);
+            mpi.scatterv(src, &vc, &vd, &mut recv, vc[me], &dt, ROOT, w)
+                .unwrap();
+        }
+        Coll::Allgather => {
+            recv = l.blank(n * p);
+            let send = l.mine(me, n);
+            mpi.allgather(&send, &mut recv, c, &dt, w).unwrap();
+        }
+        Coll::Allgatherv => {
+            recv = l.blank(total(&vc));
+            let send = l.mine(me, vc[me] as usize);
+            mpi.allgatherv(&send, vc[me], &mut recv, &vc, &vd, &dt, w)
+                .unwrap();
+        }
+        Coll::Alltoall => {
+            recv = l.blank(n * p);
+            let send = l.mine(me, n * p);
+            mpi.alltoall(&send, &mut recv, c, &dt, w).unwrap();
+        }
+        Coll::Alltoallv => {
+            let cnt = |i: usize, j: usize| (n + (i + j) % 3) as i32;
+            let sc: Vec<i32> = (0..p).map(|j| cnt(me, j)).collect();
+            let rc: Vec<i32> = (0..p).map(|j| cnt(j, me)).collect();
+            recv = l.blank(total(&rc));
+            let send = l.mine(me, total(&sc));
+            mpi.alltoallv(
+                &send,
+                &sc,
+                &displs(&sc),
+                &mut recv,
+                &rc,
+                &displs(&rc),
+                &dt,
+                w,
+            )
+            .unwrap();
+        }
+    }
+    recv
+}
+
+#[test]
+fn every_blocking_collective_moves_a_strided_layout_like_a_dense_one() {
+    // Multi-node and not a power of two: two-level and folded paths on
+    // the MVAPICH2 profile, flat ones on Open MPI. 9000 elements (72 KB
+    // packed) take every large-message algorithm.
+    let topo = Topology::new(2, 3);
+    for profile in profiles() {
+        for coll in Coll::ALL {
+            for n in [2usize, 9000] {
+                let run = |l: Layout| run_mpi(topo, profile, move |mpi| run_coll(mpi, coll, l, n));
+                let dense = run(Layout::Dense);
+                let strided = run(Layout::Strided);
+                for (r, (d, s)) in dense.iter().zip(&strided).enumerate() {
+                    let what = format!("{coll:?} {} n={n} rank {r}", profile.name);
+                    let (want, _) = Layout::Dense.read(d);
+                    let (got, gaps_untouched) = Layout::Strided.read(s);
+                    if coll.receives(r) {
+                        assert!(!want.contains(&FILL), "{what}: dense result incomplete");
+                    }
+                    assert_eq!(got, want, "{what}");
+                    assert!(gaps_untouched, "{what}: a gap byte was written");
+                }
+            }
+        }
+    }
+}
+
+/// Rank `short`'s receive buffer of `elems` elements loses its last
+/// byte; every other rank's is whole.
+fn recv_buf(l: Layout, me: usize, short: usize, elems: usize) -> Vec<u8> {
+    let mut b = l.blank(elems);
+    if me == short {
+        b.pop();
+    }
+    b
+}
+
+#[test]
+fn short_receive_buffers_fail_with_the_same_error_after_taking_part() {
+    let n = 3usize;
+    for profile in profiles() {
+        for l in [Layout::Dense, Layout::Strided] {
+            let dt = l.dt();
+            // Equal-block collectives, short in the last block: the error
+            // names the block's end. On two ranks, rank 0 unpacks the
+            // peer's block last, so its peer is never left waiting.
+            for coll in [Coll::Allgather, Coll::Alltoall] {
+                let res = run_mpi(Topology::new(1, 2), profile, move |mpi| {
+                    let w = mpi.world();
+                    let me = mpi.rank(w).unwrap();
+                    let dt = l.dt();
+                    let mut recv = recv_buf(l, me, 0, 2 * n);
+                    if coll == Coll::Allgather {
+                        mpi.allgather(&l.mine(me, n), &mut recv, n as i32, &dt, w)
+                    } else {
+                        mpi.alltoall(&l.mine(me, 2 * n), &mut recv, n as i32, &dt, w)
+                    }
+                });
+                let needed = n * dt.extent() + dt.span(n);
+                let want = MpiError::BufferTooSmall {
+                    needed,
+                    available: needed - 1,
+                };
+                assert_eq!(res, [Err(want), Ok(())], "{coll:?} {l:?} {}", profile.name);
+            }
+            // Gather: the root unpacks after every block has arrived.
+            let p = 3;
+            let res = run_mpi(Topology::new(1, p), profile, move |mpi| {
+                let w = mpi.world();
+                let me = mpi.rank(w).unwrap();
+                let mut recv = recv_buf(l, me, ROOT, n * p);
+                let out = (me == ROOT).then_some(&mut recv[..]);
+                mpi.gather(&l.mine(me, n), out, n as i32, &l.dt(), ROOT, w)
+            });
+            let needed = (p - 1) * n * dt.extent() + dt.span(n);
+            let want = MpiError::BufferTooSmall {
+                needed,
+                available: needed - 1,
+            };
+            assert_eq!(res[ROOT], Err(want), "gather {l:?} {}", profile.name);
+            assert!(res.iter().enumerate().all(|(r, x)| r == ROOT || x.is_ok()));
+
+            // Bcast and allreduce: rank 2 (a node leader forwarding to
+            // rank 3) takes its full part, then fails on its own buffer.
+            for m in [n, 9000] {
+                let needed = dt.span(m);
+                let want = MpiError::BufferTooSmall {
+                    needed,
+                    available: needed - 1,
+                };
+                let topo = Topology::new(2, 2);
+                let bcast = run_mpi(topo, profile, move |mpi| -> MpiResult<Vec<u8>> {
+                    let w = mpi.world();
+                    let me = mpi.rank(w).unwrap();
+                    let mut buf = if me == 0 {
+                        l.mine(0, m)
+                    } else {
+                        recv_buf(l, me, 2, m)
+                    };
+                    mpi.bcast(&mut buf, m as i32, &l.dt(), 0, w).map(|_| buf)
+                });
+                let allreduce = run_mpi(topo, profile, move |mpi| -> MpiResult<Vec<u8>> {
+                    let w = mpi.world();
+                    let me = mpi.rank(w).unwrap();
+                    let mut recv = recv_buf(l, me, 2, m);
+                    mpi.allreduce(
+                        &l.mine(me, m),
+                        &mut recv,
+                        m as i32,
+                        &l.dt(),
+                        ReduceOp::Sum,
+                        w,
+                    )
+                    .map(|_| recv)
+                });
+                let sums: Vec<i32> = (0..2 * m)
+                    .map(|i| (0..4).map(|r| (r * 100_000 + i) as i32).sum())
+                    .collect();
+                let (root_vals, _) = l.read(&l.mine(0, m));
+                for (name, res, want_vals) in
+                    [("bcast", bcast, root_vals), ("allreduce", allreduce, sums)]
+                {
+                    let what = format!("{name} {l:?} m={m} {}", profile.name);
+                    assert_eq!(res[2], Err(want.clone()), "{what}");
+                    for r in [0, 1, 3] {
+                        let buf = res[r]
+                            .as_ref()
+                            .unwrap_or_else(|e| panic!("{what} rank {r}: {e}"));
+                        assert_eq!(l.read(buf), (want_vals.clone(), true), "{what} rank {r}");
+                    }
+                }
+            }
+        }
+    }
 }
