@@ -272,7 +272,8 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.bcast_native(buf.into(), count, dt, root, comm)
+        let buf = Region::from(buf).clamp(count, dt);
+        self.bcast_native(buf, count, dt, root, comm)
     }
 
     /// `comm.bcast(type[] arr, count, datatype, root)`.
@@ -360,7 +361,9 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.allreduce_native(send.into(), recv.into(), count, dt, op, comm)
+        let send = Region::from(send).clamp(count, dt);
+        let recv = Region::from(recv).clamp(count, dt);
+        self.allreduce_native(send, recv, count, dt, op, comm)
     }
 
     /// Array flavour of allreduce.

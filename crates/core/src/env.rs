@@ -128,6 +128,15 @@ impl Region {
         }
         Ok(Region { len, ..self })
     }
+
+    /// The prefix holding the user-layout span of `count` elements of
+    /// `dt`, or the whole region if it is shorter: a short buffer then
+    /// fails inside the library after the rank has taken part, as a
+    /// whole-buffer region does.
+    pub(crate) fn clamp(self, count: i32, dt: &Datatype) -> Region {
+        let len = dt.span(count.max(0) as usize).min(self.len);
+        Region { len, ..self }
+    }
 }
 
 /// The error of a rooted collective called at its root without the
@@ -187,6 +196,7 @@ where
         panic!("fault plan: {e}");
     }
     let reports: Mutex<Vec<(obs::RankReport, f64)>> = Mutex::new(Vec::new());
+    mrt::store::release_cached();
     let wall_start = std::time::Instant::now();
     let results = run_cluster_on::<Frame, R, _>(cfg.engine, cfg.topo, |mut ep| {
         if let Some(plan) = cfg.faults {

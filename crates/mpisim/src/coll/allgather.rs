@@ -11,7 +11,7 @@ use crate::comm::CommHandle;
 use crate::datatype::Datatype;
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Mpi;
-use crate::payload::Payload;
+use crate::Payload;
 
 /// MPI_Allgather (equal contributions): ring.
 pub fn allgather(

@@ -13,7 +13,7 @@ use crate::comm::CommHandle;
 use crate::datatype::Datatype;
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Mpi;
-use crate::payload::Payload;
+use crate::Payload;
 use obs::wallprof::{self, Counter};
 
 /// MPI_Gather: binomial subtree aggregation.

@@ -42,7 +42,7 @@ use vtime::VDur;
 use crate::comm::CommHandle;
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Mpi;
-use crate::payload::Payload;
+use crate::Payload;
 
 /// Tag bases for internal collective traffic (above the user tag space;
 /// collective traffic additionally travels in its own context stream).

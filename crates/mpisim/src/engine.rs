@@ -35,8 +35,8 @@ use vtime::{Clock, LogGp, VDur, VTime};
 
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
-use crate::payload::Payload;
 use crate::profile::{PathParams, Profile};
+use crate::Payload;
 
 /// Wildcard source (MPI_ANY_SOURCE) for receive matching.
 pub const ANY_SOURCE: i32 = -1;

@@ -9,7 +9,8 @@
 //! * reduction operations over the Java basic types ([`op`]);
 //! * a per-rank progress engine with tag/source/context matching, eager
 //!   and rendezvous protocols, and request objects ([`engine`]), whose
-//!   payloads recycle large storage through one free list ([`payload`]);
+//!   payloads are host storage ([`Payload`]) from the free list that also
+//!   backs the managed heaps and direct buffers (`mrt::store`);
 //! * communicators and groups ([`comm`]);
 //! * blocking collectives with multiple algorithms — binomial trees,
 //!   scatter+allgather, recursive doubling, Rabenseifner, ring, pairwise
@@ -33,7 +34,6 @@ pub mod engine;
 pub mod error;
 pub mod mpi;
 pub mod op;
-pub mod payload;
 pub mod profile;
 pub mod rma;
 
@@ -45,8 +45,11 @@ pub use mpi::{
     run_mpi, run_mpi_faulty, run_mpi_faulty_on, run_mpi_on, Deposits, Errhandler, Mpi, MpiRequest,
     RmaGet, Win,
 };
+/// Owned payload bytes: a frame's data, a rendezvous send parked until
+/// its CTS, a matched receive, a get reply, window memory. Clones share
+/// storage; `make_mut` unshares before a write.
+pub use mrt::store::HostBytes as Payload;
 pub use op::ReduceOp;
-pub use payload::Payload;
 pub use profile::{CollTuning, PathParams, Profile};
 pub use rma::{RegCache, RegLookup};
 pub use simfabric::EngineMode;

@@ -19,9 +19,9 @@ use crate::datatype::Datatype;
 use crate::engine::{Completion, Engine, Frame, Request, Status};
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
-use crate::payload::Payload;
 use crate::profile::Profile;
 use crate::rma::{RegCache, RegLookup};
+use crate::Payload;
 
 /// What an [`MpiRequest`] refers to: an engine-level point-to-point
 /// request, or an outstanding non-blocking collective schedule (keyed by

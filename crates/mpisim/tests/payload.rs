@@ -1,7 +1,7 @@
-//! The payload free list seen from outside: recycled storage carries the
-//! right bytes, small payloads stay off the list, and a rendezvous
-//! ping-pong stops allocating once its first round trip has warmed the
-//! list.
+//! The host-storage free list seen through payloads: recycled storage
+//! carries the right bytes, small payloads stay off the list, and a
+//! rendezvous ping-pong stops allocating once its first round trip has
+//! warmed the list.
 //!
 //! The list is process-wide, so these tests take turns: each holds
 //! `SERIAL` while it reads the list's counts.
@@ -9,8 +9,8 @@
 use std::sync::{Mutex, PoisonError};
 
 use mpisim::engine::Engine;
-use mpisim::payload::{list_stats, FLOOR};
 use mpisim::{Payload, Profile};
+use mrt::store::{list_stats, FLOOR};
 use simfabric::{run_cluster, Topology};
 
 static SERIAL: Mutex<()> = Mutex::new(());

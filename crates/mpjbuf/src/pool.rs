@@ -5,6 +5,12 @@
 //! communicated" — direct buffers are expensive to create
 //! (`MemCosts::direct_alloc_fixed_ns`), so the pool keeps freed buffers on
 //! power-of-two free lists and reuses them for the cost of a list pop.
+//!
+//! A kept buffer is parked ([`Runtime::park_direct`]): from the host
+//! store's floor up its bytes go back to the process-wide free list
+//! while it idles, and a hit takes storage back. This is host-side
+//! only — the pool's classes, counts and charges are what they would be
+//! if every parked buffer kept its bytes.
 
 use mrt::{DirectBuffer, Runtime};
 use obs::pvar;
@@ -128,6 +134,7 @@ impl BufferPool {
             obs::count(pvar::MPJBUF_POOL_HITS, 1);
             self.stats.pooled_bytes -= buf.capacity();
             clock.charge(VDur::from_nanos(rt.cost().pool.acquire_hit_ns));
+            rt.unpark_direct(buf).expect("pool buffer is live");
             buf
         } else {
             self.stats.misses += 1;
@@ -177,6 +184,7 @@ impl BufferPool {
         let cap = buf.capacity();
         if self.classes[idx].len() < self.per_class_limit {
             self.stats.pooled_bytes += buf.capacity();
+            rt.park_direct(buf).expect("pool buffer is live");
             self.classes[idx].push(buf);
         } else {
             rt.free_direct(buf, clock).expect("pool buffer is live");
@@ -286,6 +294,29 @@ mod tests {
         pool.drain(&mut rt, &mut c);
         assert_eq!(rt.direct_allocated_bytes(), 0);
         assert_eq!(pool.stats().pooled_bytes, 0);
+    }
+
+    #[test]
+    fn a_parked_store_holds_no_bytes_and_a_small_one_keeps_them() {
+        use mrt::store::FLOOR;
+        let (mut rt, mut c) = setup();
+        let mut pool = BufferPool::new();
+        let big = pool.acquire(&mut rt, &mut c, FLOOR);
+        let small = pool.acquire(&mut rt, &mut c, 1000);
+        assert!(rt.host_bytes() > FLOOR + 1024);
+        pool.release(&mut rt, &mut c, big);
+        pool.release(&mut rt, &mut c, small);
+        assert_eq!(rt.host_bytes(), 1024, "only the small store keeps bytes");
+        // The logical pool is what it would be without parking.
+        let s = pool.stats();
+        assert_eq!((s.pooled_bytes, s.outstanding), (FLOOR + 1024, 0));
+        assert_eq!(rt.direct_allocated_bytes(), FLOOR + 1024);
+        // A hit takes storage back: the same buffer, writable again.
+        let again = pool.acquire(&mut rt, &mut c, FLOOR);
+        assert_eq!((again, pool.stats().hits), (big, 1));
+        rt.direct_write_bytes(again, FLOOR - 16, &[9; 16], &mut c)
+            .unwrap();
+        assert!(rt.host_bytes() > FLOOR + 1024);
     }
 
     #[test]

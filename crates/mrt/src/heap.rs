@@ -9,22 +9,32 @@
 //! (`GetPrimitiveArrayCritical`), and why direct (off-heap) buffers are
 //! attractive for communication.
 //!
+//! The heap is a virtual address space: offsets, the bump pointer, the
+//! capacity and its growth, the collection points and the bytes a
+//! collection copies are all modelled, but each object owns its host
+//! bytes ([`HostBytes`]). A collection therefore moves offsets, not
+//! bytes, and a released object gives its bytes back at once, so a heap
+//! holds host memory only for its live objects.
+//!
 //! The collector is stop-the-world and charges a pause proportional to the
 //! live set to the owning rank's virtual clock.
 
 use vtime::{Clock, CostModel};
 
 use crate::error::{MrtError, MrtResult};
+use crate::store::HostBytes;
 
 /// Handle to a managed heap object. Stable across collections (the
 /// *object* moves; the handle does not).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Handle(pub(crate) u32);
 
-#[derive(Debug, Clone, Copy)]
+/// A live object: its virtual offset and its bytes. A dead slot holds
+/// no bytes.
+#[derive(Debug, Default)]
 struct Slot {
     offset: usize,
-    len: usize,
+    bytes: HostBytes,
     live: bool,
 }
 
@@ -41,7 +51,7 @@ pub struct GcStats {
 
 /// The managed heap.
 pub struct Heap {
-    space: Vec<u8>,
+    capacity: usize,
     top: usize,
     max_capacity: usize,
     slots: Vec<Slot>,
@@ -57,7 +67,7 @@ impl Heap {
     pub fn new(capacity: usize, max_capacity: usize) -> Self {
         assert!(capacity > 0 && max_capacity >= capacity);
         Heap {
-            space: vec![0; capacity],
+            capacity,
             top: 0,
             max_capacity,
             slots: Vec::new(),
@@ -69,12 +79,21 @@ impl Heap {
 
     /// Bytes currently allocated to live objects.
     pub fn live_bytes(&self) -> usize {
-        self.slots.iter().filter(|s| s.live).map(|s| s.len).sum()
+        self.live().map(|s| s.bytes.len()).sum()
+    }
+
+    /// Host bytes the heap's live objects hold (see [`HostBytes::host_len`]).
+    pub fn host_bytes(&self) -> usize {
+        self.live().map(|s| s.bytes.host_len()).sum()
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Slot> {
+        self.slots.iter().filter(|s| s.live)
     }
 
     /// Current capacity.
     pub fn capacity(&self) -> usize {
-        self.space.len()
+        self.capacity
     }
 
     /// Collector statistics so far.
@@ -101,20 +120,19 @@ impl Heap {
     /// Allocate `len` zeroed bytes, running the collector and/or growing
     /// the heap if needed. Charges allocation (and any pause) to `clock`.
     pub fn alloc(&mut self, len: usize, clock: &mut Clock, cost: &CostModel) -> MrtResult<Handle> {
-        if self.top + len > self.space.len() {
+        if self.top + len > self.capacity {
             if self.gc_locked() {
                 return Err(MrtError::AllocationInCriticalRegion);
             }
             self.collect(clock, cost);
-            while self.top + len > self.space.len() {
-                if self.space.len() >= self.max_capacity {
+            while self.top + len > self.capacity {
+                if self.capacity >= self.max_capacity {
                     return Err(MrtError::OutOfMemory {
                         requested: len,
                         heap_max: self.max_capacity,
                     });
                 }
-                let new_cap = (self.space.len() * 2).min(self.max_capacity);
-                self.space.resize(new_cap, 0);
+                self.capacity = (self.capacity * 2).min(self.max_capacity);
                 self.stats.growths += 1;
             }
         }
@@ -122,14 +140,12 @@ impl Heap {
         // Allocation pressure: how fast the mutator is filling the heap.
         obs::count(obs::pvar::MRT_HEAP_ALLOCS, 1);
         obs::count(obs::pvar::MRT_HEAP_ALLOC_BYTES, len as u64);
-        let offset = self.top;
-        self.top += len;
-        self.space[offset..offset + len].fill(0);
         let slot = Slot {
-            offset,
-            len,
+            offset: self.top,
+            bytes: HostBytes::zeroed(len),
             live: true,
         };
+        self.top += len;
         let idx = match self.free_slots.pop() {
             Some(i) => {
                 self.slots[i as usize] = slot;
@@ -143,44 +159,43 @@ impl Heap {
         Ok(Handle(idx))
     }
 
-    /// Mark an object dead (it becomes reclaimable garbage at the next
-    /// collection — the analogue of dropping the last reference).
+    /// Mark an object dead (the analogue of dropping the last reference).
+    /// Its bytes go back at once; its virtual space is reclaimed at the
+    /// next collection.
     pub fn release(&mut self, h: Handle) -> MrtResult<()> {
-        let slot = self
-            .slots
-            .get_mut(h.0 as usize)
-            .ok_or(MrtError::BadHandle)?;
-        if !slot.live {
-            return Err(MrtError::BadHandle);
-        }
-        slot.live = false;
+        self.slot_mut(h)?;
+        self.slots[h.0 as usize] = Slot::default();
         self.free_slots.push(h.0);
         Ok(())
     }
 
-    fn slot(&self, h: Handle) -> MrtResult<Slot> {
-        let s = self.slots.get(h.0 as usize).ok_or(MrtError::BadHandle)?;
-        if !s.live {
-            return Err(MrtError::BadHandle);
-        }
-        Ok(*s)
+    fn slot(&self, h: Handle) -> MrtResult<&Slot> {
+        self.slots
+            .get(h.0 as usize)
+            .filter(|s| s.live)
+            .ok_or(MrtError::BadHandle)
+    }
+
+    fn slot_mut(&mut self, h: Handle) -> MrtResult<&mut Slot> {
+        self.slots
+            .get_mut(h.0 as usize)
+            .filter(|s| s.live)
+            .ok_or(MrtError::BadHandle)
     }
 
     /// Read-only view of the object's bytes.
     pub fn bytes(&self, h: Handle) -> MrtResult<&[u8]> {
-        let s = self.slot(h)?;
-        Ok(&self.space[s.offset..s.offset + s.len])
+        Ok(&self.slot(h)?.bytes)
     }
 
     /// Mutable view of the object's bytes.
     pub fn bytes_mut(&mut self, h: Handle) -> MrtResult<&mut [u8]> {
-        let s = self.slot(h)?;
-        Ok(&mut self.space[s.offset..s.offset + s.len])
+        Ok(self.slot_mut(h)?.bytes.make_mut())
     }
 
     /// Object length in bytes.
     pub fn len_of(&self, h: Handle) -> MrtResult<usize> {
-        Ok(self.slot(h)?.len)
+        Ok(self.slot(h)?.bytes.len())
     }
 
     /// The object's *current* address (heap offset). Changes when the
@@ -203,12 +218,14 @@ impl Heap {
         let mut new_top = 0usize;
         let mut copied = 0u64;
         for i in order {
-            let Slot { offset, len, .. } = self.slots[i];
-            if offset != new_top {
-                self.space.copy_within(offset..offset + len, new_top);
+            let slot = &mut self.slots[i];
+            let len = slot.bytes.len();
+            // The object's bytes stay where they are; its modelled copy
+            // is what the collector charges and counts.
+            if slot.offset != new_top {
                 copied += len as u64;
             }
-            self.slots[i].offset = new_top;
+            slot.offset = new_top;
             new_top += len;
         }
         self.top = new_top;
@@ -276,12 +293,40 @@ mod tests {
         h.release(a).unwrap();
         h.collect(&mut c, &cost);
         let addr_after = h.address_of(b).unwrap();
-        assert_ne!(addr_before, addr_after, "survivor must slide down");
-        assert_eq!(addr_after, 0);
+        assert_eq!((addr_before, addr_after), (100, 0), "survivor slides down");
         // Contents preserved across the move.
         assert!(h.bytes(b).unwrap().iter().all(|&x| x == 0xAB));
-        assert_eq!(h.stats().collections, 1);
-        assert!(h.stats().bytes_copied >= 100);
+        let want = GcStats {
+            collections: 1,
+            bytes_copied: 100,
+            growths: 0,
+        };
+        assert_eq!(h.stats(), want);
+    }
+
+    #[test]
+    fn allocation_pressure_triggers_gc_and_reuses_space() {
+        use crate::store::{HostBytes, FLOOR};
+        let cost = CostModel::default();
+        let mut c = Clock::new();
+        let mut h = Heap::new(4 * FLOOR, 16 * FLOOR);
+        assert_eq!(h.host_bytes(), 0, "capacity is virtual");
+        let keep = h.alloc(100, &mut c, &cost).unwrap();
+        let big = h.alloc(FLOOR, &mut c, &cost).unwrap();
+        // Churn far more than the heap's capacity, small and large.
+        for i in 0..64 {
+            let x = h.alloc(if i % 2 == 0 { 512 } else { FLOOR }, &mut c, &cost);
+            h.release(x.unwrap()).unwrap();
+        }
+        assert!(h.stats().collections > 0, "GC must have run");
+        assert_eq!(h.capacity(), 4 * FLOOR, "and never grew the heap");
+        // Host bytes are held for the live objects only.
+        let big_host = HostBytes::zeroed(FLOOR).host_len();
+        assert_eq!(h.host_bytes(), 100 + big_host);
+        assert_eq!(h.live_bytes(), 100 + FLOOR);
+        h.release(big).unwrap();
+        assert_eq!(h.host_bytes(), 100, "release gives bytes back at once");
+        assert_eq!(h.len_of(keep).unwrap(), 100);
     }
 
     #[test]
@@ -291,18 +336,6 @@ mod tests {
         let before = c.now();
         h.collect(&mut c, &cost);
         assert!(c.now() > before);
-    }
-
-    #[test]
-    fn allocation_pressure_triggers_gc_and_reuses_space() {
-        let (mut h, mut c, cost) = setup();
-        // Churn: allocate/release far more than capacity.
-        for _ in 0..100 {
-            let x = h.alloc(512, &mut c, &cost).unwrap();
-            h.release(x).unwrap();
-        }
-        assert!(h.stats().collections > 0, "GC must have run");
-        assert!(h.capacity() <= 4096);
     }
 
     #[test]

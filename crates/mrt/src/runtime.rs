@@ -10,7 +10,7 @@
 use vtime::{Clock, CostModel, VDur};
 
 use crate::array::{decode_slice, encode_slice, JArray};
-use crate::buffer::{DirectBuffer, DirectRegion, HeapBuffer};
+use crate::buffer::{DirectBuffer, DirectRegion};
 use crate::error::{MrtError, MrtResult};
 use crate::heap::{GcStats, Handle, Heap};
 use crate::prim::{ByteOrder, Prim};
@@ -77,6 +77,12 @@ impl Runtime {
         self.direct.total_allocations
     }
 
+    /// Host bytes held by the heap's live objects and the direct buffers
+    /// (host-side only: no simulated output reads it).
+    pub fn host_bytes(&self) -> usize {
+        self.heap.host_bytes() + self.direct.host_bytes()
+    }
+
     /// Allocate an opaque managed object of `len` bytes (small wrapper
     /// objects, boxed values — the garbage ordinary Java code produces).
     pub fn alloc_object(&mut self, len: usize, clock: &mut Clock) -> MrtResult<Handle> {
@@ -110,12 +116,7 @@ impl Runtime {
         idx: usize,
         clock: &mut Clock,
     ) -> MrtResult<T> {
-        if idx >= arr.len {
-            return Err(MrtError::IndexOutOfBounds {
-                index: idx,
-                length: arr.len,
-            });
-        }
+        check_at(idx, 1, arr.len)?;
         clock.charge(self.cost.array_loop(1));
         let bytes = self.heap.bytes(arr.handle)?;
         Ok(T::decode(&bytes[idx * T::SIZE..], ByteOrder::Little))
@@ -129,12 +130,7 @@ impl Runtime {
         v: T,
         clock: &mut Clock,
     ) -> MrtResult<()> {
-        if idx >= arr.len {
-            return Err(MrtError::IndexOutOfBounds {
-                index: idx,
-                length: arr.len,
-            });
-        }
+        check_at(idx, 1, arr.len)?;
         clock.charge(self.cost.array_loop(1));
         let bytes = self.heap.bytes_mut(arr.handle)?;
         v.encode(&mut bytes[idx * T::SIZE..], ByteOrder::Little);
@@ -149,18 +145,7 @@ impl Runtime {
         out: &mut [T],
         clock: &mut Clock,
     ) -> MrtResult<()> {
-        let end = off
-            .checked_add(out.len())
-            .ok_or(MrtError::IndexOutOfBounds {
-                index: usize::MAX,
-                length: arr.len,
-            })?;
-        if end > arr.len {
-            return Err(MrtError::IndexOutOfBounds {
-                index: end,
-                length: arr.len,
-            });
-        }
+        check_span(off, out.len(), arr.len)?;
         clock.charge(self.cost.memcpy(out.len() * T::SIZE));
         let bytes = self.heap.bytes(arr.handle)?;
         decode_slice(&bytes[off * T::SIZE..], out);
@@ -175,18 +160,7 @@ impl Runtime {
         src: &[T],
         clock: &mut Clock,
     ) -> MrtResult<()> {
-        let end = off
-            .checked_add(src.len())
-            .ok_or(MrtError::IndexOutOfBounds {
-                index: usize::MAX,
-                length: arr.len,
-            })?;
-        if end > arr.len {
-            return Err(MrtError::IndexOutOfBounds {
-                index: end,
-                length: arr.len,
-            });
-        }
+        check_span(off, src.len(), arr.len)?;
         clock.charge(self.cost.memcpy(src.len() * T::SIZE));
         let bytes = self.heap.bytes_mut(arr.handle)?;
         encode_slice(src, &mut bytes[off * T::SIZE..]);
@@ -223,15 +197,23 @@ impl Runtime {
         self.direct.free(b)
     }
 
+    /// Park an idle direct buffer: from [`crate::store::FLOOR`] up, its
+    /// host bytes go back to the free list until
+    /// [`Runtime::unpark_direct`]. Host-side only; charges nothing.
+    pub fn park_direct(&mut self, b: DirectBuffer) -> MrtResult<()> {
+        self.direct.park(b)
+    }
+
+    /// Give a parked direct buffer storage again. Its contents are
+    /// unspecified, as a reused buffer's are.
+    pub fn unpark_direct(&mut self, b: DirectBuffer) -> MrtResult<()> {
+        self.direct.unpark(b)
+    }
+
     /// Change the buffer's byte order (`buf.order(...)`).
     pub fn direct_set_order(&mut self, b: DirectBuffer, order: ByteOrder) -> MrtResult<()> {
         self.direct.get_mut(b)?.order = order;
         Ok(())
-    }
-
-    /// The buffer's byte order.
-    pub fn direct_order(&self, b: DirectBuffer) -> MrtResult<ByteOrder> {
-        Ok(self.direct.get(b)?.order)
     }
 
     /// Absolute typed get (`buf.getInt(byteIndex)` etc.).
@@ -242,12 +224,7 @@ impl Runtime {
         clock: &mut Clock,
     ) -> MrtResult<T> {
         let buf = self.direct.get(b)?;
-        if byte_idx + T::SIZE > buf.data.len() {
-            return Err(MrtError::IndexOutOfBounds {
-                index: byte_idx,
-                length: buf.data.len(),
-            });
-        }
+        check_at(byte_idx, T::SIZE, buf.data.len())?;
         clock.charge(self.cost.direct_bb_loop(1));
         Ok(T::decode(&buf.data[byte_idx..], buf.order))
     }
@@ -262,14 +239,9 @@ impl Runtime {
     ) -> MrtResult<()> {
         clock.charge(self.cost.direct_bb_loop(1));
         let buf = self.direct.get_mut(b)?;
-        if byte_idx + T::SIZE > buf.data.len() {
-            return Err(MrtError::IndexOutOfBounds {
-                index: byte_idx,
-                length: buf.data.len(),
-            });
-        }
+        check_at(byte_idx, T::SIZE, buf.data.len())?;
         let order = buf.order;
-        v.encode(&mut buf.data[byte_idx..], order);
+        v.encode(&mut buf.data.make_mut()[byte_idx..], order);
         Ok(())
     }
 
@@ -369,12 +341,7 @@ impl Runtime {
         elems: usize,
         clock: &mut Clock,
     ) -> MrtResult<()> {
-        if elem_off + elems > arr.len {
-            return Err(MrtError::IndexOutOfBounds {
-                index: elem_off + elems,
-                length: arr.len,
-            });
-        }
+        check_span(elem_off, elems, arr.len)?;
         self.direct_write_from_heap(
             b,
             byte_off,
@@ -396,12 +363,7 @@ impl Runtime {
         elems: usize,
         clock: &mut Clock,
     ) -> MrtResult<()> {
-        if elem_off + elems > arr.len {
-            return Err(MrtError::IndexOutOfBounds {
-                index: elem_off + elems,
-                length: arr.len,
-            });
-        }
+        check_span(elem_off, elems, arr.len)?;
         self.direct_read_into_heap(
             b,
             byte_off,
@@ -421,70 +383,29 @@ impl Runtime {
 
     /// Raw mutable storage access (see [`Runtime::direct_bytes`]).
     pub fn direct_bytes_mut(&mut self, b: DirectBuffer) -> MrtResult<&mut [u8]> {
-        Ok(&mut self.direct.get_mut(b)?.data)
+        Ok(self.direct.get_mut(b)?.data.make_mut())
     }
+}
 
-    // ------------------------------------------------------------------
-    // Heap ByteBuffers
-    // ------------------------------------------------------------------
-
-    /// `ByteBuffer.allocate(capacity)` — an ordinary managed object,
-    /// movable by the collector.
-    pub fn allocate_heap_buffer(
-        &mut self,
-        capacity: usize,
-        clock: &mut Clock,
-    ) -> MrtResult<HeapBuffer> {
-        let h = self.heap.alloc(capacity, clock, &self.cost)?;
-        Ok(HeapBuffer {
-            handle: h,
-            capacity,
-            order: ByteOrder::Big, // Java's heap-buffer default
-        })
+/// `Ok` if `n` items from `start` fit in `length`; the error names the
+/// first item past the end (`usize::MAX` if that overflows).
+fn check_span(start: usize, n: usize, length: usize) -> MrtResult<()> {
+    match start.checked_add(n) {
+        Some(end) if end <= length => Ok(()),
+        end => Err(MrtError::IndexOutOfBounds {
+            index: end.unwrap_or(usize::MAX),
+            length,
+        }),
     }
+}
 
-    /// Release a heap buffer.
-    pub fn release_heap_buffer(&mut self, b: HeapBuffer) -> MrtResult<()> {
-        self.heap.release(b.handle)
-    }
-
-    /// Absolute typed get on a heap buffer.
-    pub fn heap_get<T: Prim>(
-        &self,
-        b: HeapBuffer,
-        byte_idx: usize,
-        clock: &mut Clock,
-    ) -> MrtResult<T> {
-        let bytes = self.heap.bytes(b.handle)?;
-        if byte_idx + T::SIZE > bytes.len() {
-            return Err(MrtError::IndexOutOfBounds {
-                index: byte_idx,
-                length: bytes.len(),
-            });
-        }
-        clock.charge(self.cost.heap_bb_loop(1));
-        Ok(T::decode(&bytes[byte_idx..], b.order))
-    }
-
-    /// Absolute typed put on a heap buffer.
-    pub fn heap_put<T: Prim>(
-        &mut self,
-        b: HeapBuffer,
-        byte_idx: usize,
-        v: T,
-        clock: &mut Clock,
-    ) -> MrtResult<()> {
-        clock.charge(self.cost.heap_bb_loop(1));
-        let bytes = self.heap.bytes_mut(b.handle)?;
-        if byte_idx + T::SIZE > bytes.len() {
-            return Err(MrtError::IndexOutOfBounds {
-                index: byte_idx,
-                length: bytes.len(),
-            });
-        }
-        v.encode(&mut bytes[byte_idx..], b.order);
-        Ok(())
-    }
+/// `Ok` if the `n`-item element at `start` fits in `length`; the error
+/// names `start`.
+fn check_at(start: usize, n: usize, length: usize) -> MrtResult<()> {
+    check_span(start, n, length).map_err(|_| MrtError::IndexOutOfBounds {
+        index: start,
+        length,
+    })
 }
 
 /// Copy `from` into the managed object `dst` at byte `dst_off`.
@@ -507,6 +428,16 @@ mod tests {
             Runtime::with_heap(CostModel::default(), 1 << 16, 1 << 20),
             Clock::new(),
         )
+    }
+
+    #[test]
+    fn a_new_runtime_holds_no_heap_bytes() {
+        let mut rt = Runtime::new(CostModel::default());
+        assert_eq!((rt.heap().capacity(), rt.host_bytes()), (DEFAULT_HEAP, 0));
+        let mut c = Clock::new();
+        rt.alloc_array::<i64>(1 << 14, &mut c).unwrap();
+        rt.allocate_direct(1 << 17, &mut c);
+        assert!(rt.host_bytes() >= (1 << 17) + (1 << 17));
     }
 
     #[test]
@@ -680,15 +611,6 @@ mod tests {
         }
         assert_eq!(rt.direct_get::<i32>(d, 0, &mut c).unwrap(), 0xDEAD);
         let _ = addr_before;
-    }
-
-    #[test]
-    fn heap_buffer_defaults_to_big_endian() {
-        let (mut rt, mut c) = setup();
-        let b = rt.allocate_heap_buffer(8, &mut c).unwrap();
-        rt.heap_put(b, 0, 0x0102_0304i32, &mut c).unwrap();
-        assert_eq!(rt.heap().bytes(b.handle()).unwrap()[0], 0x01);
-        assert_eq!(rt.heap_get::<i32>(b, 0, &mut c).unwrap(), 0x0102_0304);
     }
 
     #[test]

@@ -1,109 +1,99 @@
-//! Owned payload bytes for the engine, and the free list that recycles
-//! the storage of large ones.
+//! Host storage: the bytes behind every heap object, direct buffer and
+//! engine payload, and the one free list that recycles the large ones
+//! (DESIGN.md §11, "Host storage").
 //!
-//! Every payload the engine holds — a frame's data, a rendezvous send
-//! parked until its CTS, a matched receive, a get reply, window memory —
-//! is a [`Payload`]. Below [`FLOOR`] a payload is one exact-size
-//! allocation, as a boxed slice would be, and never touches the list.
-//! From the floor up, storage comes in power-of-two classes from one
-//! process-wide free list and goes back to it when the last handle
-//! drops, so a sweep of large messages reuses pages the process has
-//! already faulted in instead of mapping fresh ones for every frame.
+//! Below [`FLOOR`] a [`HostBytes`] is one exact-size allocation. From the
+//! floor up, storage comes in power-of-two classes from one process-wide
+//! list and goes back to it when the last handle drops. Clones share
+//! storage; [`HostBytes::make_mut`] unshares before a write. A
+//! [`HostBytes::recycled`] block may hold what another rank last wrote.
 //!
-//! Clones share storage: a duplicated or retransmitted frame, and the
-//! receive that keeps its twin, never copy the bytes.
-//! [`Payload::make_mut`] unshares before a write.
-//!
-//! The list is host-side only. It charges no virtual time, feeds no pvar
-//! and moves no work counter, so no simulated output depends on it.
-//!
-//! ## Retention
-//!
-//! Two rules, and no knob:
-//! * a class only grows on a miss, when it has nothing cached, so it
-//!   never holds more buffers than were live at once;
-//! * a miss releases the cached buffers of every smaller class, so an
-//!   ascending size sweep keeps only the class it has reached.
-//!
-//! The list is shared by all ranks of the process because the threaded
-//! engine frees a frame on the receiving rank's thread: per-thread lists
-//! would fill on one side only. No invariant spans its lock, so a rank
-//! that panics while holding it (crash-plan jobs unwind rank threads)
-//! leaves it usable: a poisoned lock is recovered.
+//! Retention has two rules and no knob: a class only grows on a miss, and
+//! a miss releases every smaller class's cache. A new job starts with an
+//! empty list ([`release_cached`]). The list charges no virtual time,
+//! feeds no pvar and moves no work counter. It is process-wide because
+//! the threaded engine frees a frame on the receiving rank's thread; a
+//! lock poisoned by a panicking rank is recovered, as no invariant spans
+//! it.
 
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Payloads of at least this many bytes take their storage from the free
+/// Blocks of at least this many bytes take their storage from the free
 /// list: 4× the largest eager threshold of any profile, so small
-/// messages keep their exact-size allocation and never take the lock.
+/// messages, objects and stores keep their exact-size allocation and
+/// never take the lock.
 pub const FLOOR: usize = 64 << 10;
 
 const FLOOR_LOG2: u32 = FLOOR.trailing_zeros();
 /// One class per power of two from the floor up.
 const CLASSES: usize = (usize::BITS - FLOOR_LOG2) as usize;
-/// Class storage starts with the payload's length, so a handle stays two
-/// words (an `Arc<[u8]>`), the size of the boxed slice it replaced.
+/// Class storage starts with the block's length, so a handle stays two
+/// words (an `Arc<[u8]>`), the size of a boxed slice.
 const HEADER: usize = size_of::<usize>();
 
-/// Owned, immutable-by-default payload bytes (see the module docs).
+/// Owned, immutable-by-default host bytes (see the module docs).
 #[derive(Clone, Default)]
-pub struct Payload {
-    /// `None` for an empty payload (no allocation). Below the floor,
-    /// exactly the payload's bytes; from the floor up, class storage: a
+pub struct HostBytes {
+    /// `None` for an empty block (no allocation). Below the floor,
+    /// exactly the block's bytes; from the floor up, class storage: a
     /// [`HEADER`] holding the length, the bytes, then unused capacity.
     buf: Option<Arc<[u8]>>,
 }
 
-impl Payload {
-    /// A payload holding a copy of `bytes`.
-    pub fn copy_from(bytes: &[u8]) -> Payload {
+impl HostBytes {
+    /// A block holding a copy of `bytes`.
+    pub fn copy_from(bytes: &[u8]) -> HostBytes {
         let len = bytes.len();
         let buf = match class_of(len) {
             None if len == 0 => None,
             None => Some(Arc::from(bytes)),
             Some(class) => {
-                let mut buf = take(class).unwrap_or_else(|| zeroed_storage(storage_len(class)));
-                let storage = unshared(&mut buf);
-                storage[..HEADER].copy_from_slice(&len.to_le_bytes());
-                storage[HEADER..HEADER + len].copy_from_slice(bytes);
+                let mut buf = class_storage(len, class, false);
+                unshared(&mut buf)[HEADER..HEADER + len].copy_from_slice(bytes);
                 Some(buf)
             }
         };
-        Payload { buf }
+        HostBytes { buf }
     }
 
-    /// A payload of `len` zero bytes (recycled storage is cleared).
-    pub fn zeroed(len: usize) -> Payload {
+    /// A block of `len` zero bytes (recycled storage is cleared).
+    pub fn zeroed(len: usize) -> HostBytes {
+        HostBytes::sized(len, true)
+    }
+
+    /// A block of `len` bytes whose contents are unspecified: recycled
+    /// storage keeps what its last user wrote, fresh storage is zero.
+    pub fn recycled(len: usize) -> HostBytes {
+        HostBytes::sized(len, false)
+    }
+
+    fn sized(len: usize, clear: bool) -> HostBytes {
         let buf = match class_of(len) {
             None if len == 0 => None,
             None => Some(zeroed_storage(len)),
-            Some(class) => {
-                let mut buf = match take(class) {
-                    Some(mut buf) => {
-                        unshared(&mut buf)[HEADER..HEADER + len].fill(0);
-                        buf
-                    }
-                    None => zeroed_storage(storage_len(class)),
-                };
-                unshared(&mut buf)[..HEADER].copy_from_slice(&len.to_le_bytes());
-                Some(buf)
-            }
+            Some(class) => Some(class_storage(len, class, clear)),
         };
-        Payload { buf }
+        HostBytes { buf }
+    }
+
+    /// Host bytes this block holds: its length below the floor, its
+    /// class storage from the floor up.
+    pub fn host_len(&self) -> usize {
+        self.buf.as_ref().map_or(0, |b| b.len())
     }
 
     /// Mutable access to the bytes, copying them first if another handle
     /// shares the storage.
-    pub(crate) fn make_mut(&mut self) -> &mut [u8] {
+    pub fn make_mut(&mut self) -> &mut [u8] {
         if self.buf.as_mut().is_some_and(|b| Arc::get_mut(b).is_none()) {
-            *self = Payload::copy_from(self);
+            *self = HostBytes::copy_from(self);
         }
         match &mut self.buf {
             Some(buf) => {
                 let storage = unshared(buf);
-                let bytes = payload_range(storage);
+                let bytes = byte_range(storage);
                 &mut storage[bytes]
             }
             None => &mut [],
@@ -111,21 +101,21 @@ impl Payload {
     }
 }
 
-impl Deref for Payload {
+impl Deref for HostBytes {
     type Target = [u8];
 
     #[inline]
     fn deref(&self) -> &[u8] {
         match &self.buf {
-            Some(buf) => &buf[payload_range(buf)],
+            Some(buf) => &buf[byte_range(buf)],
             None => &[],
         }
     }
 }
 
-/// Where a payload's bytes sit in its storage.
+/// Where a block's bytes sit in its storage.
 #[inline]
-fn payload_range(storage: &[u8]) -> Range<usize> {
+fn byte_range(storage: &[u8]) -> Range<usize> {
     if storage.len() < FLOOR {
         return 0..storage.len();
     }
@@ -134,7 +124,7 @@ fn payload_range(storage: &[u8]) -> Range<usize> {
     HEADER..HEADER + usize::from_le_bytes(len)
 }
 
-impl Drop for Payload {
+impl Drop for HostBytes {
     fn drop(&mut self) {
         if let Some(mut buf) = self.buf.take() {
             // The last handle gives class storage back; a small buffer is
@@ -146,9 +136,11 @@ impl Drop for Payload {
     }
 }
 
-impl fmt::Debug for Payload {
+impl fmt::Debug for HostBytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Payload").field("len", &self.len()).finish()
+        f.debug_struct("HostBytes")
+            .field("len", &self.len())
+            .finish()
     }
 }
 
@@ -159,6 +151,11 @@ pub struct ListStats {
     pub fresh: u64,
     /// Buffers cached across all classes.
     pub cached: usize,
+    /// Bytes of class storage allocated and not yet freed, whether lent
+    /// out or cached.
+    pub held_bytes: usize,
+    /// The high-water mark of `held_bytes`.
+    pub peak_held_bytes: usize,
 }
 
 /// The process-wide free list's counts.
@@ -167,13 +164,24 @@ pub fn list_stats() -> ListStats {
     ListStats {
         fresh: list.fresh,
         cached: list.classes.iter().map(Vec::len).sum(),
+        held_bytes: list.held,
+        peak_held_bytes: list.peak_held,
     }
+}
+
+/// Free every cached buffer. A job calls this as it starts, so one job's
+/// cache never sits beside the next one's working set in a process that
+/// runs jobs back to back.
+pub fn release_cached() {
+    lock().release_below(CLASSES);
 }
 
 /// Cached class storage, one stack per power of two from the floor up.
 struct FreeList {
     classes: [Vec<Arc<[u8]>>; CLASSES],
     fresh: u64,
+    held: usize,
+    peak_held: usize,
 }
 
 impl FreeList {
@@ -181,18 +189,31 @@ impl FreeList {
         FreeList {
             classes: [const { Vec::new() }; CLASSES],
             fresh: 0,
+            held: 0,
+            peak_held: 0,
         }
     }
 
     /// A cached buffer of `class`, or `None` on a miss, which releases
-    /// every smaller class's cache.
+    /// every smaller class's cache and counts the fresh buffer the caller
+    /// allocates.
     fn take(&mut self, class: usize) -> Option<Arc<[u8]>> {
         let hit = self.classes[class].pop();
         if hit.is_none() {
+            self.release_below(class);
             self.fresh += 1;
-            self.classes[..class].iter_mut().for_each(Vec::clear);
+            self.held += storage_len(class);
+            self.peak_held = self.peak_held.max(self.held);
         }
         hit
+    }
+
+    /// Free the cached buffers of every class below `class`.
+    fn release_below(&mut self, class: usize) {
+        for (c, cached) in self.classes[..class].iter_mut().enumerate() {
+            self.held -= cached.len() * storage_len(c);
+            cached.clear();
+        }
     }
 
     /// Cache `buf` if it is class storage; anything else is dropped.
@@ -210,11 +231,24 @@ fn lock() -> MutexGuard<'static, FreeList> {
     LIST.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn take(class: usize) -> Option<Arc<[u8]>> {
-    lock().take(class)
+/// Class storage for a block of `len` bytes, its header written: cached
+/// if the class has any (its bytes cleared when `clear`), else fresh.
+fn class_storage(len: usize, class: usize, clear: bool) -> Arc<[u8]> {
+    let cached = lock().take(class);
+    let mut buf = match cached {
+        Some(mut buf) => {
+            if clear {
+                unshared(&mut buf)[HEADER..HEADER + len].fill(0);
+            }
+            buf
+        }
+        None => zeroed_storage(storage_len(class)),
+    };
+    unshared(&mut buf)[..HEADER].copy_from_slice(&len.to_le_bytes());
+    buf
 }
 
-/// The class of a payload of `len` bytes, `None` below the floor.
+/// The class of a block of `len` bytes, `None` below the floor.
 fn class_of(len: usize) -> Option<usize> {
     (len >= FLOOR).then(|| (len.next_power_of_two().trailing_zeros() - FLOOR_LOG2) as usize)
 }
@@ -225,7 +259,7 @@ fn storage_len(class: usize) -> usize {
 }
 
 /// Fresh zeroed storage from the allocator's zeroing path, which maps
-/// large blocks as untouched zero pages: a payload faults in only the
+/// large blocks as untouched zero pages: a block faults in only the
 /// bytes it writes, not its whole class.
 fn zeroed_storage(len: usize) -> Arc<[u8]> {
     // SAFETY: the allocation is zero-filled, and all-zero bytes are valid
@@ -235,7 +269,7 @@ fn zeroed_storage(len: usize) -> Arc<[u8]> {
 
 /// Storage no other handle can see: freshly taken or checked unique.
 fn unshared(buf: &mut Arc<[u8]>) -> &mut [u8] {
-    Arc::get_mut(buf).expect("payload storage is unshared")
+    Arc::get_mut(buf).expect("host storage is unshared")
 }
 
 #[cfg(test)]
@@ -286,6 +320,7 @@ mod tests {
         }
         // One miss per buffer of each class's peak, none on the repeats.
         assert_eq!(list.fresh, peaks.iter().sum::<usize>() as u64);
+        assert_eq!(list.held, peaks[top] * storage_len(top));
     }
 
     #[test]
@@ -300,6 +335,9 @@ mod tests {
         cycle(&mut list, 0, 1);
         cycle(&mut list, 3, 1);
         assert_eq!((list.classes[0].len(), list.classes[3].len()), (1, 1));
+        assert_eq!(list.held, storage_len(0) + storage_len(3));
+        // The class-3 miss freed class 0's pair before allocating.
+        assert_eq!(list.peak_held, list.held);
     }
 
     #[test]
@@ -307,37 +345,37 @@ mod tests {
         let mut list = FreeList::new();
         list.give(Arc::from(vec![7u8; FLOOR - 1]));
         list.give(Arc::from(vec![7u8; 100]));
-        // Not class-sized either: a payload never owns such storage.
+        // Not class-sized either: a block never owns such storage.
         list.give(Arc::from(vec![7u8; FLOOR + 1]));
         assert!(list.classes.iter().all(Vec::is_empty));
-        assert_eq!(list.fresh, 0);
+        assert_eq!((list.fresh, list.held), (0, 0));
     }
 
     #[test]
-    fn small_payloads_are_exact_and_large_ones_class_sized() {
-        let small = Payload::copy_from(&[1, 2, 3]);
-        assert_eq!(small.buf.as_ref().map(|b| b.len()), Some(3));
-        let large = Payload::zeroed(FLOOR + 1);
+    fn small_blocks_are_exact_and_large_ones_class_sized() {
+        let small = HostBytes::copy_from(&[1, 2, 3]);
+        assert_eq!(small.host_len(), 3);
+        let large = HostBytes::zeroed(FLOOR + 1);
         assert_eq!(large.len(), FLOOR + 1);
-        assert_eq!(large.buf.as_ref().map(|b| b.len()), Some(storage_len(1)));
-        let empty = Payload::copy_from(&[]);
+        assert_eq!(large.host_len(), storage_len(1));
+        let empty = HostBytes::copy_from(&[]);
         assert!(empty.buf.is_none() && empty.is_empty());
-        // Two words, like the boxed slice a payload used to be.
-        assert_eq!(size_of::<Payload>(), size_of::<Box<[u8]>>());
+        // Two words, like a boxed slice.
+        assert_eq!(size_of::<HostBytes>(), size_of::<Box<[u8]>>());
     }
 
     #[test]
-    fn a_rank_that_panics_holding_payloads_leaves_the_list_usable() {
+    fn a_rank_that_panics_holding_blocks_leaves_the_list_usable() {
         let rank = std::thread::spawn(|| {
-            let _held = [Payload::zeroed(FLOOR), Payload::copy_from(&[1; 300])];
+            let _held = [HostBytes::zeroed(FLOOR), HostBytes::copy_from(&[1; 300])];
             // Unwinding drops the guard first, poisoning the lock, and
-            // then the payloads, which give their storage back through it.
+            // then the blocks, which give their storage back through it.
             let _locked = lock();
             panic!("rank failed while the list was locked");
         });
         assert!(rank.join().is_err());
         assert!(LIST.is_poisoned());
-        let p = Payload::copy_from(&vec![3u8; FLOOR]);
+        let p = HostBytes::copy_from(&vec![3u8; FLOOR]);
         assert!(p.iter().all(|&b| b == 3));
         drop(p);
         list_stats();
@@ -346,7 +384,7 @@ mod tests {
     #[test]
     fn make_mut_leaves_a_sharing_clone_alone() {
         for len in [16, FLOOR + 3] {
-            let mut a = Payload::copy_from(&vec![5u8; len]);
+            let mut a = HostBytes::copy_from(&vec![5u8; len]);
             let b = a.clone();
             a.make_mut()[0] = 9;
             assert_eq!((a[0], b[0]), (9, 5), "len {len}");

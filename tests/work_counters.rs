@@ -138,9 +138,7 @@ fn rows() -> Vec<Row> {
                 1 << 10,
             ),
             &PAYLOAD,
-            &[
-                4_510, 4_510, 4_510, 4_510, 0, 0, 109_824, 424_156, 2_511_160,
-            ],
+            &[4_510, 4_510, 4_510, 4_510, 0, 0, 109_824, 424_156, 741_496],
         ),
         row(
             "allreduce_64",
@@ -151,7 +149,7 @@ fn rows() -> Vec<Row> {
             ),
             &PAYLOAD,
             &[
-                5_434, 5_434, 5_434, 5_434, 0, 0, 109_824, 642_568, 3_936_400,
+                5_434, 5_434, 5_434, 5_434, 0, 0, 109_824, 642_568, 1_281_904,
             ],
         ),
         row(
