@@ -1,5 +1,5 @@
-//! Direct (off-heap, address-stable) ByteBuffers, the buffer kind the
-//! paper's bindings communicate from.
+//! ByteBuffers: direct (off-heap, address-stable) and heap (on-heap,
+//! movable) — the two NIO buffer kinds the paper's API distinguishes.
 //!
 //! Direct buffers live in a separate native region whose allocations
 //! never move, so the JNI-analog boundary can hand out their storage
@@ -10,6 +10,7 @@
 //! the free list until the pool hands it out again.
 
 use crate::error::{MrtError, MrtResult};
+use crate::heap::Handle;
 use crate::prim::ByteOrder;
 use crate::store::{HostBytes, FLOOR};
 
@@ -32,6 +33,28 @@ impl DirectBuffer {
     #[inline]
     pub fn id(&self) -> u32 {
         self.id
+    }
+}
+
+/// Handle to a heap (non-direct) ByteBuffer — an ordinary managed object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct HeapBuffer {
+    pub(crate) handle: Handle,
+    pub(crate) capacity: usize,
+    pub(crate) order: ByteOrder,
+}
+
+impl HeapBuffer {
+    /// Capacity in bytes.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// The underlying heap handle.
+    #[inline]
+    pub fn handle(&self) -> Handle {
+        self.handle
     }
 }
 

@@ -12,6 +12,7 @@
 //! * **direct ByteBuffers** ([`buffer::DirectBuffer`]) in a separate
 //!   native region with stable storage — costly to create, never moved,
 //!   ideal to hand to the native MPI library;
+//! * heap (non-direct) ByteBuffers, movable like any managed object;
 //! * [`store`], the one free list that recycles the host storage of
 //!   large heap objects, direct buffers and the MPI engine's payloads;
 //! * a calibrated cost model (from the `vtime` crate) charged on every
@@ -28,7 +29,7 @@ pub mod runtime;
 pub mod store;
 
 pub use array::JArray;
-pub use buffer::DirectBuffer;
+pub use buffer::{DirectBuffer, HeapBuffer};
 pub use error::{MrtError, MrtResult};
 pub use heap::{GcStats, Handle, Heap};
 pub use prim::{ByteOrder, Prim, PrimType};

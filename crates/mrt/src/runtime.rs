@@ -10,7 +10,7 @@
 use vtime::{Clock, CostModel, VDur};
 
 use crate::array::{decode_slice, encode_slice, JArray};
-use crate::buffer::{DirectBuffer, DirectRegion};
+use crate::buffer::{DirectBuffer, DirectRegion, HeapBuffer};
 use crate::error::{MrtError, MrtResult};
 use crate::heap::{GcStats, Handle, Heap};
 use crate::prim::{ByteOrder, Prim};
@@ -216,6 +216,11 @@ impl Runtime {
         Ok(())
     }
 
+    /// The buffer's byte order.
+    pub fn direct_order(&self, b: DirectBuffer) -> MrtResult<ByteOrder> {
+        Ok(self.direct.get(b)?.order)
+    }
+
     /// Absolute typed get (`buf.getInt(byteIndex)` etc.).
     pub fn direct_get<T: Prim>(
         &self,
@@ -384,6 +389,58 @@ impl Runtime {
     /// Raw mutable storage access (see [`Runtime::direct_bytes`]).
     pub fn direct_bytes_mut(&mut self, b: DirectBuffer) -> MrtResult<&mut [u8]> {
         Ok(self.direct.get_mut(b)?.data.make_mut())
+    }
+
+    // ------------------------------------------------------------------
+    // Heap ByteBuffers
+    // ------------------------------------------------------------------
+
+    /// `ByteBuffer.allocate(capacity)` — an ordinary managed object,
+    /// movable by the collector.
+    pub fn allocate_heap_buffer(
+        &mut self,
+        capacity: usize,
+        clock: &mut Clock,
+    ) -> MrtResult<HeapBuffer> {
+        let h = self.heap.alloc(capacity, clock, &self.cost)?;
+        Ok(HeapBuffer {
+            handle: h,
+            capacity,
+            order: ByteOrder::Big, // Java's heap-buffer default
+        })
+    }
+
+    /// Release a heap buffer.
+    pub fn release_heap_buffer(&mut self, b: HeapBuffer) -> MrtResult<()> {
+        self.heap.release(b.handle)
+    }
+
+    /// Absolute typed get on a heap buffer.
+    pub fn heap_get<T: Prim>(
+        &self,
+        b: HeapBuffer,
+        byte_idx: usize,
+        clock: &mut Clock,
+    ) -> MrtResult<T> {
+        let bytes = self.heap.bytes(b.handle)?;
+        check_at(byte_idx, T::SIZE, bytes.len())?;
+        clock.charge(self.cost.heap_bb_loop(1));
+        Ok(T::decode(&bytes[byte_idx..], b.order))
+    }
+
+    /// Absolute typed put on a heap buffer.
+    pub fn heap_put<T: Prim>(
+        &mut self,
+        b: HeapBuffer,
+        byte_idx: usize,
+        v: T,
+        clock: &mut Clock,
+    ) -> MrtResult<()> {
+        clock.charge(self.cost.heap_bb_loop(1));
+        let bytes = self.heap.bytes_mut(b.handle)?;
+        check_at(byte_idx, T::SIZE, bytes.len())?;
+        v.encode(&mut bytes[byte_idx..], b.order);
+        Ok(())
     }
 }
 
@@ -611,6 +668,15 @@ mod tests {
         }
         assert_eq!(rt.direct_get::<i32>(d, 0, &mut c).unwrap(), 0xDEAD);
         let _ = addr_before;
+    }
+
+    #[test]
+    fn heap_buffer_defaults_to_big_endian() {
+        let (mut rt, mut c) = setup();
+        let b = rt.allocate_heap_buffer(8, &mut c).unwrap();
+        rt.heap_put(b, 0, 0x0102_0304i32, &mut c).unwrap();
+        assert_eq!(rt.heap().bytes(b.handle()).unwrap()[0], 0x01);
+        assert_eq!(rt.heap_get::<i32>(b, 0, &mut c).unwrap(), 0x0102_0304);
     }
 
     #[test]

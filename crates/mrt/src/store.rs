@@ -128,9 +128,15 @@ impl Drop for HostBytes {
     fn drop(&mut self) {
         if let Some(mut buf) = self.buf.take() {
             // The last handle gives class storage back; a small buffer is
-            // freed like any allocation, without the lock.
-            if buf.len() >= FLOOR && Arc::get_mut(&mut buf).is_some() {
-                lock().give(buf);
+            // freed like any allocation, without the lock. Class handles
+            // drop under the lock, so of two last handles dropped at once
+            // on two threads the second sees itself alone.
+            if buf.len() >= FLOOR {
+                let mut list = lock();
+                match Arc::get_mut(&mut buf) {
+                    Some(_) => list.give(buf),
+                    None => drop(buf),
+                }
             }
         }
     }
