@@ -8,13 +8,13 @@
 //! which crosses the JNI-analog boundary into the native library.
 
 use mpisim::datatype::Datatype;
-use mpisim::{Frame, Mpi, Profile};
+use mpisim::{Frame, Mpi, Profile, SendBuf};
 use mpjbuf::{BufferPool, PoolStats};
 use mrt::prim::Prim;
 use mrt::{DirectBuffer, GcStats, JArray, MrtResult, Runtime};
 use obs::wallprof::{self, Counter};
 use simfabric::{run_cluster_on, EngineMode, FaultPlan, Topology};
-use vtime::{CostModel, VDur, VTime};
+use vtime::{Clock, CostModel, VDur, VTime};
 
 use crate::error::{BindError, BindResult};
 use crate::flavor::{BindingFlavor, MVAPICH2J};
@@ -104,6 +104,9 @@ impl JobConfig {
 pub(crate) struct Region {
     pub(crate) buf: DirectBuffer,
     pub(crate) len: usize,
+    /// Whether `buf` is a staging store the call owns, whose storage a
+    /// send may hand over; a user's buffer is only ever lent.
+    pub(crate) staged: bool,
 }
 
 impl From<DirectBuffer> for Region {
@@ -111,6 +114,7 @@ impl From<DirectBuffer> for Region {
         Region {
             buf,
             len: buf.capacity(),
+            staged: false,
         }
     }
 }
@@ -127,6 +131,27 @@ impl Region {
             }));
         }
         Ok(Region { len, ..self })
+    }
+
+    /// What a native send body hands the library, after the one address
+    /// crossing (charged through `nif`): a staged store of
+    /// [`mrt::store::FLOOR`] bytes or more hands over its storage, cut to
+    /// the region, which travels as the frame (the pool would park the
+    /// store on release anyway); any other region lends its bytes, which
+    /// the library captures.
+    pub(crate) fn send_bytes<'r>(
+        self,
+        rt: &'r mut Runtime,
+        clock: &mut Clock,
+    ) -> MrtResult<SendBuf<'r>> {
+        nif::get_direct_buffer_address(rt, clock, self.buf)?;
+        if self.staged {
+            if let Some(mut bytes) = rt.hand_over_direct(self.buf)? {
+                bytes.truncate(self.len);
+                return Ok(SendBuf::Owned(bytes));
+            }
+        }
+        Ok(SendBuf::Borrowed(&rt.direct_bytes(self.buf)?[..self.len]))
     }
 
     /// The prefix holding the user-layout span of `count` elements of

@@ -11,7 +11,7 @@
 //!   offset argument (`send_array_slice`).
 
 use mpisim::datatype::Datatype;
-use mpisim::{CommHandle, Deposits};
+use mpisim::{CommHandle, Deposit, Deposits, Payload};
 use mpjbuf::Buffer;
 use mrt::prim::Prim;
 use mrt::{DirectBuffer, JArray, Runtime};
@@ -38,11 +38,8 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<JRequest> {
         let buf = buf.fit(elems(count)?, dt)?;
-        // The native call reads straight out of the buffer's storage.
-        let bytes = nif::get_direct_buffer_address(&self.rt, self.mpi.clock_mut(), buf.buf)?;
-        let native = self
-            .mpi
-            .isend(&bytes[..buf.len], count, dt, dst, tag, comm)?;
+        let bytes = buf.send_bytes(&mut self.rt, self.mpi.clock_mut())?;
+        let native = self.mpi.isend(bytes, count, dt, dst, tag, comm)?;
         Ok(JRequest::new(native, PostAction::SendDone))
     }
 
@@ -153,7 +150,8 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<JRequest> {
         let (count, elems) = Self::array_args::<T>(count, dt)?;
-        // Buffering layer: pooled direct buffer + gather copy.
+        // Buffering layer: pooled direct buffer + gather copy. From the
+        // floor up the store's storage then travels as the frame.
         let s = self.stage_in(arr, elem_off, count, dt.clone())?;
         let out = self.isend_native(s.region(), elems, &datatype_of::<T>(), dst, tag, comm);
         self.posted(out, None, Some(s))
@@ -171,7 +169,8 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<JRequest> {
         let (count, elems) = Self::array_args::<T>(count, dt)?;
-        let r = self.staging(arr, elem_off, count, dt.clone());
+        // Completion scatters straight out of the frame.
+        let r = self.landing(arr, elem_off, count, dt.clone());
         let out = self.irecv_native(r.region(), elems, &datatype_of::<T>(), src, tag, comm);
         self.posted(out, Some(r), None)
     }
@@ -303,27 +302,36 @@ impl Env {
     // Completion
     // ------------------------------------------------------------------
 
-    /// The region the native library deposits a completing request's
-    /// payload into: the receive's direct buffer itself, or the array
-    /// receive's staging store (conceptually DMA — uncharged).
-    fn deposit_region<'r>(
+    /// Where the native library delivers a completing request's payload:
+    /// into the receive's direct buffer itself (conceptually DMA —
+    /// uncharged), or, for an array receive, into `got` as the frame's
+    /// own bytes, which completion scatters from.
+    fn destination<'r>(
         rt: &'r mut Runtime,
         post: &PostAction,
-    ) -> BindResult<Option<&'r mut [u8]>> {
-        let r = match post {
-            PostAction::SendDone => return Ok(None),
-            PostAction::RecvBuffer(r) => *r,
-            PostAction::RecvArray(s) => s.region(),
-        };
-        Ok(Some(&mut rt.direct_bytes_mut(r.buf)?[..r.len]))
+        got: &'r mut Payload,
+    ) -> BindResult<Option<Deposit<'r>>> {
+        Ok(match post {
+            PostAction::SendDone => None,
+            PostAction::RecvBuffer(r) => {
+                Some(Deposit::Into(&mut rt.direct_bytes_mut(r.buf)?[..r.len]))
+            }
+            PostAction::RecvArray(_) => Some(Deposit::Take(got)),
+        })
     }
 
     /// Run the Java-side completion actions once the native request is
-    /// done and its payload deposited.
-    fn finish_post(&mut self, post: PostAction, st: mpisim::Status) -> BindResult<JStatus> {
+    /// done and its payload delivered (`got` for an array receive).
+    fn finish_post(
+        &mut self,
+        post: PostAction,
+        st: mpisim::Status,
+        got: Payload,
+    ) -> BindResult<JStatus> {
         if let PostAction::RecvArray(r) = post {
-            // Buffering layer scatters into the managed array.
-            self.unstage(r, st.bytes)?;
+            // Buffering layer scatters into the managed array, straight
+            // out of the frame.
+            self.unstage_bytes(r, &got)?;
         }
         Ok(JStatus {
             source: st.source as i32,
@@ -342,10 +350,11 @@ impl Env {
     }
 
     pub(crate) fn wait_raw(&mut self, req: JRequest) -> BindResult<JStatus> {
-        let dest = Self::deposit_region(&mut self.rt, &req.post)?;
-        let st = self.mpi.wait(req.native, dest)?;
+        let mut got = Payload::default();
+        let dest = Self::destination(&mut self.rt, &req.post, &mut got)?;
+        let st = self.mpi.wait_into(req.native, dest)?;
         self.release_pinned(req.pinned);
-        self.finish_post(req.post, st)
+        self.finish_post(req.post, st, got)
     }
 
     /// `request.waitFor()`.
@@ -374,17 +383,19 @@ impl Env {
         // Resolve every destination up front, so lending one out below
         // cannot fail.
         for post in &posts {
-            Self::deposit_region(&mut self.rt, post)?;
+            Self::destination(&mut self.rt, post, &mut Payload::default())?;
         }
+        let mut got: Vec<Payload> = posts.iter().map(|_| Payload::default()).collect();
         let dests = PostDeposits {
             rt: &mut self.rt,
             posts: &posts,
+            got: &mut got,
         };
         let statuses = self.mpi.waitall(natives, dests)?;
         let mut out = Vec::with_capacity(posts.len());
-        for ((post, pinned), st) in posts.into_iter().zip(pins).zip(statuses) {
+        for (((post, pinned), st), got) in posts.into_iter().zip(pins).zip(statuses).zip(got) {
             self.release_pinned(pinned);
-            out.push(self.finish_post(post, st)?);
+            out.push(self.finish_post(post, st, got)?);
         }
         Ok(out)
     }
@@ -393,12 +404,13 @@ impl Env {
     /// back when still pending.
     pub fn test(&mut self, req: JRequest) -> BindResult<TestOutcome> {
         self.binding_call();
-        let dest = Self::deposit_region(&mut self.rt, &req.post)?;
-        match self.mpi.test(&req.native, dest)? {
+        let mut got = Payload::default();
+        let dest = Self::destination(&mut self.rt, &req.post, &mut got)?;
+        match self.mpi.test_into(&req.native, dest)? {
             None => Ok(TestOutcome::Pending(req)),
             Some(st) => {
                 self.release_pinned(req.pinned);
-                self.finish_post(req.post, st).map(TestOutcome::Done)
+                self.finish_post(req.post, st, got).map(TestOutcome::Done)
             }
         }
     }
@@ -410,11 +422,12 @@ impl Env {
     pub fn testany(&mut self, reqs: &mut Vec<JRequest>) -> BindResult<Option<(usize, JStatus)>> {
         self.binding_call();
         for i in 0..reqs.len() {
-            let dest = Self::deposit_region(&mut self.rt, &reqs[i].post)?;
-            if let Some(st) = self.mpi.test(&reqs[i].native, dest)? {
+            let mut got = Payload::default();
+            let dest = Self::destination(&mut self.rt, &reqs[i].post, &mut got)?;
+            if let Some(st) = self.mpi.test_into(&reqs[i].native, dest)? {
                 let req = reqs.remove(i);
                 self.release_pinned(req.pinned);
-                let status = self.finish_post(req.post, st)?;
+                let status = self.finish_post(req.post, st, got)?;
                 return Ok(Some((i, status)));
             }
         }
@@ -422,15 +435,18 @@ impl Env {
     }
 }
 
-/// The deposit regions of a batch of requests, lent to the native
-/// `Waitall` one request at a time.
+/// The destinations of a batch of requests, lent to the native `Waitall`
+/// one request at a time; array receives take their frames into `got`.
 struct PostDeposits<'a> {
     rt: &'a mut Runtime,
     posts: &'a [PostAction],
+    got: &'a mut [Payload],
 }
 
 impl Deposits for PostDeposits<'_> {
-    fn region(&mut self, i: usize) -> Option<&mut [u8]> {
-        Env::deposit_region(self.rt, &self.posts[i]).ok().flatten()
+    fn deposit(&mut self, i: usize) -> Option<Deposit<'_>> {
+        Env::destination(self.rt, &self.posts[i], &mut self.got[i])
+            .ok()
+            .flatten()
     }
 }

@@ -14,7 +14,9 @@
 //!   collectives use for their schedules. Each synchronization pays the
 //!   charged gather/scatter the buffering layer always pays; the scatter
 //!   reads window memory (or a get reply) in place, so the host copies
-//!   it once, not twice.
+//!   it once, not twice. A put's staged store of `mrt::store::FLOOR`
+//!   bytes or more hands its storage to the library, which sends it as
+//!   the frame.
 //!
 //! Epoch semantics are the MPI ones: active target via [`Env::win_fence`]
 //! (collective; completes all one-sided operations and synchronizes the
@@ -22,6 +24,8 @@
 //! (origin-only; the target observes deposits at its next
 //! [`Env::win_sync`] or fence). Get payloads are delivered when the epoch
 //! closes, never before.
+
+use std::ops::Range;
 
 use mpisim::datatype::Datatype;
 use mpisim::{CommHandle, ReduceOp};
@@ -233,10 +237,9 @@ impl Env {
     ) -> BindResult<()> {
         let origin = origin.fit(elems(count)?, dt)?;
         let native = self.win_state(win)?.native;
-        let bytes = nif::get_direct_buffer_address(&self.rt, self.mpi.clock_mut(), origin.buf)?;
+        let bytes = origin.send_bytes(&mut self.rt, self.mpi.clock_mut())?;
         let key = u64::from(origin.buf.id());
-        self.mpi
-            .win_put(native, &bytes[..origin.len], key, target, disp)?;
+        self.mpi.win_put(native, bytes, key, target, disp)?;
         Ok(())
     }
 
@@ -335,7 +338,7 @@ impl Env {
                 available: arr.byte_len(),
             }));
         }
-        let s = self.staging(arr, 0, n, dt.clone());
+        let s = self.landing(arr, 0, n, dt.clone());
         match self.get_native(win, s.region(), count, &dt, target, target_disp) {
             Ok((tok, _)) => {
                 self.win_state_mut(win)?.gets.push((tok, GetDest::Array(s)));
@@ -359,9 +362,8 @@ impl Env {
     ) -> BindResult<()> {
         let origin = origin.fit(elems(count)?, &mpisim::datatype::INT)?;
         let native = self.win_state(win)?.native;
-        let bytes = nif::get_direct_buffer_address(&self.rt, self.mpi.clock_mut(), origin.buf)?;
-        self.mpi
-            .win_accumulate(native, &bytes[..origin.len], op, target, disp)?;
+        let bytes = origin.send_bytes(&mut self.rt, self.mpi.clock_mut())?;
+        self.mpi.win_accumulate(native, bytes, op, target, disp)?;
         Ok(())
     }
 
@@ -429,11 +431,17 @@ impl Env {
     }
 
     /// Deposit completed get payloads into their recorded destinations.
+    /// Returns whether one landed in the window's own direct buffer.
     fn deposit_gets(
         &mut self,
         win: JWin,
         done: Vec<(mpisim::RmaGet, mpisim::Payload)>,
-    ) -> BindResult<()> {
+    ) -> BindResult<bool> {
+        let own = match self.win_state(win)?.storage {
+            WinStorage::Buffer(b) => Some(b),
+            WinStorage::Array { .. } => None,
+        };
+        let mut into_own = false;
         for (tok, data) in done {
             let pos = self
                 .win_state(win)?
@@ -446,26 +454,39 @@ impl Env {
                 GetDest::Buffer(r) => {
                     // NIC deposits straight into the registered direct
                     // buffer — uncharged.
+                    into_own |= Some(r.buf) == own;
                     let n = r.len.min(data.len());
                     self.deposit(r, &data[..n])?;
                 }
                 GetDest::Array(s) => self.unstage_bytes(s, &data)?,
             }
         }
-        Ok(())
+        Ok(into_own)
     }
 
     /// Mirror the NIC view back into the user's storage; the deposits
-    /// recorded so far are then part of it.
-    fn refresh_user_storage(&mut self, win: JWin) -> BindResult<()> {
+    /// recorded so far are then part of it. Right after the publish in
+    /// the same call, a direct buffer already equals window memory
+    /// outside the recorded deposits, so only those are copied back,
+    /// unless `whole`: a get of this call landed in the buffer itself.
+    fn refresh_user_storage(&mut self, win: JWin, whole: bool) -> BindResult<()> {
         let info = self.storage_info(win)?;
         let native = self.win_state(win)?.native;
-        let (mem, clock) = self.mpi.win_mem(native)?;
+        let mpisim::WinView {
+            mem,
+            deposited,
+            clock,
+        } = self.mpi.win_mem(native)?;
         match info {
             StorageInfo::Buffer(b) => {
                 // The buffer *is* the exposed region: uncharged mirror.
-                self.rt.direct_bytes_mut(b)?[..mem.len()].copy_from_slice(mem);
-                wallprof::add(Counter::CopyBytes, mem.len() as u64);
+                let user = &mut self.rt.direct_bytes_mut(b)?[..mem.len()];
+                let mut copied = 0;
+                for r in mirrored(deposited, mem.len(), whole) {
+                    user[r.clone()].copy_from_slice(&mem[r.clone()]);
+                    copied += r.len();
+                }
+                wallprof::add(Counter::CopyBytes, copied as u64);
             }
             StorageInfo::Array {
                 handle,
@@ -501,8 +522,8 @@ impl Env {
         self.publish_local_writes(win)?;
         let native = self.win_state(win)?.native;
         let done = self.mpi.win_fence(native)?;
-        self.deposit_gets(win, done)?;
-        self.refresh_user_storage(win)
+        let into_own = self.deposit_gets(win, done)?;
+        self.refresh_user_storage(win, into_own)
     }
 
     /// `win.lock(target)`: begin an exclusive passive-target epoch.
@@ -520,7 +541,7 @@ impl Env {
         self.binding_call();
         let native = self.win_state(win)?.native;
         let done = self.mpi.win_unlock(native, target)?;
-        self.deposit_gets(win, done)
+        self.deposit_gets(win, done).map(drop)
     }
 
     /// `win.sync()`: local-only synchronization — publish local writes
@@ -532,6 +553,28 @@ impl Env {
         self.publish_local_writes(win)?;
         let native = self.win_state(win)?.native;
         self.mpi.win_sync(native)?;
-        self.refresh_user_storage(win)
+        self.refresh_user_storage(win, false)
     }
+}
+
+/// The ranges of a window of `len` bytes that a refresh copies back: the
+/// whole window if `whole`, else the recorded deposits, sorted and
+/// merged so no byte is copied twice.
+fn mirrored(deposited: &[Range<usize>], len: usize, whole: bool) -> Vec<Range<usize>> {
+    let all = 0..len;
+    let deposited = if whole {
+        std::slice::from_ref(&all)
+    } else {
+        deposited
+    };
+    let mut sorted: Vec<_> = deposited.iter().map(|r| r.start..r.end.min(len)).collect();
+    sorted.sort_unstable_by_key(|r| r.start);
+    let mut merged: Vec<Range<usize>> = Vec::with_capacity(sorted.len());
+    for r in sorted.into_iter().filter(|r| !r.is_empty()) {
+        match merged.last_mut() {
+            Some(last) if r.start <= last.end => last.end = last.end.max(r.end),
+            _ => merged.push(r),
+        }
+    }
+    merged
 }

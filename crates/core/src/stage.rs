@@ -33,12 +33,33 @@ pub(crate) struct Staging {
 }
 
 impl Staging {
+    fn new<T: Prim>(
+        buf: Buffer,
+        arr: JArray<T>,
+        elem_off: usize,
+        count: usize,
+        dt: Datatype,
+    ) -> Self {
+        Staging {
+            buf,
+            arr: ArrayDest {
+                handle: arr.handle(),
+                byte_off: elem_off * T::SIZE,
+                byte_len: arr.byte_len(),
+            },
+            dt,
+            count,
+            recv: true,
+        }
+    }
+
     /// The packed bytes the native body sees: a prefix of the store (the
     /// pool may hand out a larger one).
     pub(crate) fn region(&self) -> Region {
         Region {
             buf: self.buf.store(),
             len: self.dt.size() * self.count,
+            staged: true,
         }
     }
 }
@@ -55,17 +76,25 @@ impl Env {
     ) -> Staging {
         let clock = self.mpi.clock_mut();
         let size = (dt.size() * count).max(1);
-        Staging {
-            buf: Buffer::from_pool(&mut self.pool, &mut self.rt, clock, size),
-            arr: ArrayDest {
-                handle: arr.handle(),
-                byte_off: elem_off * T::SIZE,
-                byte_len: arr.byte_len(),
-            },
-            dt,
-            count,
-            recv: true,
-        }
+        let buf = Buffer::from_pool(&mut self.pool, &mut self.rt, clock, size);
+        Staging::new(buf, arr, elem_off, count, dt)
+    }
+
+    /// [`Env::staging`] for a receive whose payload is scattered straight
+    /// out of the frame or reply ([`Env::unstage_bytes`]): nothing is
+    /// ever written to the store, so it stays parked and holds no host
+    /// bytes from the floor up. Charged and pooled the same.
+    pub(crate) fn landing<T: Prim>(
+        &mut self,
+        arr: JArray<T>,
+        elem_off: usize,
+        count: usize,
+        dt: Datatype,
+    ) -> Staging {
+        let clock = self.mpi.clock_mut();
+        let size = (dt.size() * count).max(1);
+        let buf = Buffer::from_pool_parked(&mut self.pool, &mut self.rt, clock, size);
+        Staging::new(buf, arr, elem_off, count, dt)
     }
 
     /// Acquire a store and gather the array region into it (charged): the

@@ -7,10 +7,12 @@
 //! that every byte outside the received count is what the program left
 //! there, and that the received arrays are identical on both engines
 //! and across runs. New arrays and direct buffers must still read zero,
-//! and a job starts with an empty list.
+//! and a job starts with an empty list. An array send from the floor up
+//! hands its store's storage to the frame, which must keep the sent
+//! bytes however the sender reuses the array and the store.
 
 use mrt::store::{list_stats, HostBytes, FLOOR};
-use mvapich2j::{run_job, EngineMode, Env, JobConfig, Topology};
+use mvapich2j::{run_job, EngineMode, Env, JRequest, JobConfig, Topology};
 
 /// Array length in `i32`s (256 KiB), and the count each call moves.
 const LEN: usize = FLOOR;
@@ -88,6 +90,10 @@ fn job(env: &mut Env) -> (Vec<Vec<i32>>, u64) {
         seen.push(got);
     }
 
+    // Non-blocking receives completed by `wait` and `waitall`.
+    seen.push(completed_receive(env, "wait", 10));
+    seen.push(completed_receive(env, "waitall", 11));
+
     // A vectored receive of two blocks of `half`, at 0 and at 2 * half:
     // the gap between them and the tail after them keep their bytes.
     let half = COUNT / 2;
@@ -123,6 +129,97 @@ fn job(env: &mut Env) -> (Vec<Vec<i32>>, u64) {
     (seen, env.now().as_nanos() as u64)
 }
 
+/// A non-blocking array receive of COUNT elements into a longer array,
+/// completed by the call `how` names, with a dirtied list: the payload is
+/// scattered straight out of the frame, and only the received count.
+fn completed_receive(env: &mut Env, how: &str, salt: i32) -> Vec<i32> {
+    let w = env.world();
+    let me = env.rank();
+    let peer = 1 - me;
+    let src = env.new_array::<i32>(COUNT).unwrap();
+    env.array_write(src, 0, &sent(me, salt)).unwrap();
+    let dst = prefilled(env);
+    dirty_the_list();
+    let recv = env
+        .irecv_array(dst, COUNT as i32, peer as i32, 1, w)
+        .unwrap();
+    let send = env.isend_array(src, COUNT as i32, peer, 1, w).unwrap();
+    complete(env, how, recv);
+    env.wait(send).unwrap();
+    let got = read(env, dst);
+    assert_eq!(got[..COUNT], sent(peer, salt)[..], "{how}");
+    let untouched = got[COUNT..]
+        .iter()
+        .enumerate()
+        .all(|(i, &v)| v == -((COUNT + i) as i32));
+    assert!(untouched, "{how} wrote past its count");
+    got
+}
+
+/// Complete `req` through the named completion call.
+fn complete(env: &mut Env, how: &str, req: JRequest) {
+    match how {
+        "wait" => drop(env.wait(req).unwrap()),
+        "waitall" => drop(env.waitall(vec![req]).unwrap()),
+        "test" => {
+            let mut req = req;
+            loop {
+                match env.test(req).unwrap() {
+                    mvapich2j::TestOutcome::Done(_) => break,
+                    mvapich2j::TestOutcome::Pending(r) => req = r,
+                }
+            }
+        }
+        _ => {
+            let mut reqs = vec![req];
+            while env.testany(&mut reqs).unwrap().is_none() {}
+        }
+    }
+}
+
+/// Rank 0 sends three arrays of `n` elements to rank 1 (tags 1, 2, 3);
+/// rank 1 receives tag 2 first. Before rank 1 posts tag 1, rank 0 has
+/// rewritten the source array twice and staged tag 3 into the very store
+/// tag 2 handed over (a pool hit), whose frame rank 1 may not have
+/// consumed yet. Every message must arrive as it was sent.
+fn reuse(env: &mut Env, n: usize) -> Vec<Vec<i32>> {
+    let w = env.world();
+    let pattern = |k: i32| -> Vec<i32> {
+        (0..n as i32)
+            .map(|i| i.wrapping_mul(31) ^ (k << 20))
+            .collect()
+    };
+    let mut got = Vec::new();
+    if env.rank() == 0 {
+        let a = env.new_array::<i32>(n).unwrap();
+        env.array_write(a, 0, &pattern(1)).unwrap();
+        let r1 = env.isend_array(a, n as i32, 1, 1, w).unwrap();
+        env.array_write(a, 0, &pattern(2)).unwrap();
+        let r2 = env.isend_array(a, n as i32, 1, 2, w).unwrap();
+        env.wait(r2).unwrap();
+        env.array_write(a, 0, &pattern(3)).unwrap();
+        let hits = env.pool_stats().hits;
+        let r3 = env.isend_array(a, n as i32, 1, 3, w).unwrap();
+        assert_eq!(
+            env.pool_stats().hits,
+            hits + 1,
+            "tag 3 reuses tag 2's store"
+        );
+        env.wait(r1).unwrap();
+        env.wait(r3).unwrap();
+    } else {
+        for tag in [2, 1, 3] {
+            let dst = env.new_array::<i32>(n).unwrap();
+            env.recv_array(dst, n as i32, 0, tag, w).unwrap();
+            let mut out = vec![0; n];
+            env.array_read(dst, 0, &mut out).unwrap();
+            assert!(out == pattern(tag), "{n} elements, tag {tag}");
+            got.push(out);
+        }
+    }
+    got
+}
+
 #[test]
 fn recycled_stores_leak_no_stale_bytes_on_either_engine() {
     let cfg = JobConfig::mvapich2j(Topology::new(2, 1));
@@ -136,5 +233,24 @@ fn recycled_stores_leak_no_stale_bytes_on_either_engine() {
         .collect();
     for (i, run) in runs.iter().enumerate() {
         assert_eq!(run, &runs[0], "run {i} differs from the first threaded run");
+    }
+    // `test` and `testany` poll, and each poll is a charged call, so only
+    // what they receive repeats across runs, not the clock.
+    let polled = |env: &mut Env| {
+        let test = completed_receive(env, "test", 12);
+        [test, completed_receive(env, "testany", 13)]
+    };
+    let runs: Vec<_> = [EngineMode::Threaded, EngineMode::EventDriven]
+        .into_iter()
+        .map(|engine| run_job(cfg.with_engine(engine), polled))
+        .collect();
+    assert_eq!(runs[0], runs[1], "test/testany differ across engines");
+    // Handed-over stores (64 KiB and 256 KiB messages). One test, not
+    // two: the list is process-wide, and the empty-start check above
+    // must not see another test's blocks.
+    for engine in [EngineMode::Threaded, EngineMode::EventDriven] {
+        for n in [FLOOR / 4, FLOOR] {
+            run_job(cfg.with_engine(engine), |env| reuse(env, n));
+        }
     }
 }

@@ -137,7 +137,8 @@ pub(crate) fn cisend(
 ) -> MpiResult<crate::engine::Request> {
     mpi.clock_mut().charge(cc.perhop);
     let world = cc.world(dst);
-    mpi.engine_mut().isend_bytes(data, world, tag, cc.ctx)
+    mpi.engine_mut()
+        .isend_bytes(crate::engine::capture(data), world, tag, cc.ctx)
 }
 
 /// Internal blocking receive of a collective fragment from communicator

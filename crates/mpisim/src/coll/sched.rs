@@ -38,7 +38,7 @@ use vtime::{VDur, VTime};
 use super::{block_range, elem_block_range};
 use crate::comm::CommHandle;
 use crate::datatype::Datatype;
-use crate::engine::{Engine, Request, NBC_ROUNDS_MAX, NBC_TAG_BASE};
+use crate::engine::{capture, Engine, Request, NBC_ROUNDS_MAX, NBC_TAG_BASE};
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Mpi;
 use crate::op::{self, ReduceOp};
@@ -237,7 +237,7 @@ impl Schedule {
                         debug_assert_ne!(world, me_world, "schedules never self-send");
                         eng.clock_mut().charge(self.perhop);
                         let data = &self.bufs[buf][off..off + len];
-                        let r = eng.isend_bytes(data, world, tag, self.ctx)?;
+                        let r = eng.isend_bytes(capture(data), world, tag, self.ctx)?;
                         posted.push((r, None));
                         obs::count(obs::pvar::COLL_NB_SENDS, 1);
                         obs::count(obs::pvar::COLL_NB_BYTES, len as u64);

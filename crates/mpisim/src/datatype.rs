@@ -367,12 +367,21 @@ impl Datatype {
                 available: src.len(),
             });
         }
-        let mut out = Vec::with_capacity(self.size() * count);
-        self.for_each_run(count, |off, len| {
-            out.extend_from_slice(&src[off..off + len])
-        });
-        wallprof::add(Counter::CopyBytes, out.len() as u64);
+        let mut out = vec![0; self.size() * count];
+        self.pack_into(src, count, &mut out);
         Ok(out)
+    }
+
+    /// Pack `count` elements from `src`, which must span them, into
+    /// `out`, which must hold exactly their packed size.
+    pub fn pack_into(&self, src: &[u8], count: usize, out: &mut [u8]) {
+        let mut pos = 0;
+        self.for_each_run(count, |off, len| {
+            out[pos..pos + len].copy_from_slice(&src[off..off + len]);
+            pos += len;
+        });
+        debug_assert_eq!(pos, out.len());
+        wallprof::add(Counter::CopyBytes, pos as u64);
     }
 
     /// Unpack `count` elements from dense bytes `data` into `dst` laid out

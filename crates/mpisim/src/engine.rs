@@ -449,6 +449,15 @@ impl Unexpected {
     }
 }
 
+/// A payload of its own holding a copy of `data`: what a send or
+/// one-sided call transmits from bytes the caller keeps (MPI's
+/// buffer-reuse semantics). The one place payload bytes are captured.
+pub fn capture(data: &[u8]) -> Payload {
+    wallprof::add(WpCounter::Allocs, 1);
+    wallprof::add(WpCounter::CopyBytes, data.len() as u64);
+    Payload::copy_from(data)
+}
+
 #[derive(Debug)]
 enum SendState {
     /// Eager send: already complete at this instant.
@@ -587,6 +596,18 @@ impl WinMem {
             _ => self.deposited.push(r),
         }
     }
+}
+
+/// A rank's exposed window memory, lent beside its clock so the caller
+/// can charge a copy straight out of it.
+pub struct WinView<'a> {
+    /// The NIC view the fabric deposits into.
+    pub mem: &'a [u8],
+    /// The ranges remote deposits wrote since the owner last synchronized
+    /// ([`Engine::win_mark_synced`]): unordered, possibly overlapping.
+    pub deposited: &'a [Range<usize>],
+    /// The rank's clock.
+    pub clock: &'a mut Clock,
 }
 
 /// A one-sided frame parked until its epoch opens at the target.
@@ -914,13 +935,12 @@ impl Engine {
     // Posting
     // ------------------------------------------------------------------
 
-    /// Non-blocking send of a contiguous byte payload.
-    ///
-    /// The payload is captured immediately (MPI buffer-reuse semantics for
-    /// the simulation); timing follows the eager or rendezvous protocol.
+    /// Non-blocking send of a contiguous byte payload, which travels as
+    /// the frame itself (see [`capture`] for bytes the caller keeps);
+    /// timing follows the eager or rendezvous protocol.
     pub fn isend_bytes(
         &mut self,
-        data: &[u8],
+        data: Payload,
         dst: usize,
         tag: i32,
         context: u32,
@@ -945,11 +965,10 @@ impl Engine {
         };
         if data.len() <= path.eager_threshold {
             // Eager: CPU copy into the bounce buffer, inject, done.
-            wallprof::add(WpCounter::Allocs, 1); // payload capture below
-            wallprof::add(WpCounter::CopyBytes, data.len() as u64);
-            self.clock.charge(path.eager_copy(data.len()));
+            let nbytes = data.len();
+            self.clock.charge(path.eager_copy(nbytes));
             self.clock.charge(path.loggp.o_send());
-            let wire = path.header_bytes + data.len();
+            let wire = path.header_bytes + nbytes;
             let inject_at = self.clock.now();
             let arrival = self.inject_reliable(
                 dst,
@@ -957,16 +976,12 @@ impl Engine {
                 inject_at,
                 wire,
                 &path.loggp,
-                Wire::Eager {
-                    env,
-                    data: Payload::copy_from(data),
-                    stamp,
-                },
+                Wire::Eager { env, data, stamp },
             )?;
             obs::count(pvar::PT2PT_EAGER_MSGS, 1);
-            obs::count(pvar::PT2PT_EAGER_BYTES, data.len() as u64);
+            obs::count(pvar::PT2PT_EAGER_BYTES, nbytes as u64);
             if obs::tracing_enabled() {
-                self.trace_send(stamp, "eager", dst, tag, data.len(), inject_at, arrival);
+                self.trace_send(stamp, "eager", dst, tag, nbytes, inject_at, arrival);
             }
             Ok(self.alloc_req(ReqState::Send(SendState::EagerDone {
                 complete_at: self.clock.now(),
@@ -983,11 +998,9 @@ impl Engine {
                 self.trace_send(stamp, "rndv", dst, tag, data.len(), now, now);
             }
             let nbytes = data.len();
-            wallprof::add(WpCounter::Allocs, 1); // payload parked until CTS
-            wallprof::add(WpCounter::CopyBytes, nbytes as u64);
             let req = self.alloc_req(ReqState::Send(SendState::AwaitCts {
                 dst,
-                data: Payload::copy_from(data),
+                data,
                 env,
                 stamp,
             }));
@@ -2030,16 +2043,18 @@ impl Engine {
             .ok_or(MpiError::ProtocolError("freeing an unknown window"))
     }
 
-    /// Read this rank's exposed window memory (the NIC view the fabric
-    /// deposits into), lent beside the rank's clock so the caller can
-    /// charge a copy straight out of it. Zero virtual cost itself: local
-    /// loads from pinned memory.
-    pub fn win_mem(&mut self, win: u32) -> MpiResult<(&[u8], &mut Clock)> {
+    /// Read this rank's exposed window memory. Zero virtual cost itself:
+    /// local loads from pinned memory.
+    pub fn win_mem(&mut self, win: u32) -> MpiResult<WinView<'_>> {
         let w = self
             .windows
             .get(&win)
             .ok_or(MpiError::ProtocolError("reading an unknown window"))?;
-        Ok((&w.mem[..], &mut self.clock))
+        Ok(WinView {
+            mem: &w.mem,
+            deposited: &w.deposited,
+            clock: &mut self.clock,
+        })
     }
 
     /// Copy the owner's `image` of window `win` into its memory, except
@@ -2102,16 +2117,15 @@ impl Engine {
         dst: usize,
         win: u32,
         offset: usize,
-        data: &[u8],
+        data: Payload,
     ) -> MpiResult<VTime> {
         self.check_rma_target(dst)?;
         let epoch = self.win_epoch(win)?;
         wallprof::add(WpCounter::Messages, 1);
-        wallprof::add(WpCounter::Allocs, 1); // payload capture into the wire frame
-        wallprof::add(WpCounter::CopyBytes, data.len() as u64);
+        let nbytes = data.len();
         let path = *self.path_to(dst);
-        if data.len() <= path.rma_eager_threshold {
-            self.clock.charge(path.eager_copy(data.len()));
+        if nbytes <= path.rma_eager_threshold {
+            self.clock.charge(path.eager_copy(nbytes));
             obs::count(pvar::RMA_PUT_EAGER, 1);
         } else {
             obs::count(pvar::RMA_PUT_ZCOPY, 1);
@@ -2122,7 +2136,7 @@ impl Engine {
             coll: 0,
         };
         let inject_at = self.clock.now();
-        let wire_bytes = path.header_bytes + data.len();
+        let wire_bytes = path.header_bytes + nbytes;
         let arrival = self.inject_reliable(
             dst,
             one_sided_channel(win, OneSidedClass::Data),
@@ -2133,14 +2147,14 @@ impl Engine {
                 win,
                 epoch,
                 offset,
-                data: Payload::copy_from(data),
+                data,
                 stamp,
             },
         )?;
         obs::count(pvar::RMA_PUT_MSGS, 1);
-        obs::count(pvar::RMA_PUT_BYTES, data.len() as u64);
+        obs::count(pvar::RMA_PUT_BYTES, nbytes as u64);
         if obs::tracing_enabled() {
-            self.trace_rma("rma.put", dst, data.len(), stamp, inject_at, arrival);
+            self.trace_rma("rma.put", dst, nbytes, stamp, inject_at, arrival);
         }
         Ok(arrival)
     }
@@ -2155,27 +2169,26 @@ impl Engine {
         win: u32,
         offset: usize,
         op: ReduceOp,
-        data: &[u8],
+        data: Payload,
     ) -> MpiResult<VTime> {
         self.check_rma_target(dst)?;
-        if !data.len().is_multiple_of(4) {
+        let nbytes = data.len();
+        if !nbytes.is_multiple_of(4) {
             return Err(MpiError::ProtocolError(
                 "accumulate payloads must be whole 32-bit lanes",
             ));
         }
         let epoch = self.win_epoch(win)?;
         wallprof::add(WpCounter::Messages, 1);
-        wallprof::add(WpCounter::Allocs, 1); // payload capture into the wire frame
-        wallprof::add(WpCounter::CopyBytes, data.len() as u64);
         let path = *self.path_to(dst);
-        self.clock.charge(path.eager_copy(data.len()));
+        self.clock.charge(path.eager_copy(nbytes));
         self.clock.charge(path.loggp.o_send());
         let stamp = FlowStamp {
             flow: self.alloc_flow(),
             coll: 0,
         };
         let inject_at = self.clock.now();
-        let wire_bytes = path.header_bytes + data.len();
+        let wire_bytes = path.header_bytes + nbytes;
         let arrival = self.inject_reliable(
             dst,
             one_sided_channel(win, OneSidedClass::Data),
@@ -2187,14 +2200,14 @@ impl Engine {
                 epoch,
                 offset,
                 op,
-                data: Payload::copy_from(data),
+                data,
                 stamp,
             },
         )?;
         obs::count(pvar::RMA_ACC_MSGS, 1);
-        obs::count(pvar::RMA_ACC_BYTES, data.len() as u64);
+        obs::count(pvar::RMA_ACC_BYTES, nbytes as u64);
         if obs::tracing_enabled() {
-            self.trace_rma("rma.acc", dst, data.len(), stamp, inject_at, arrival);
+            self.trace_rma("rma.acc", dst, nbytes, stamp, inject_at, arrival);
         }
         Ok(arrival)
     }
@@ -2330,7 +2343,7 @@ impl Engine {
 
     /// Blocking send.
     pub fn send_bytes(&mut self, data: &[u8], dst: usize, tag: i32, context: u32) -> MpiResult<()> {
-        let r = self.isend_bytes(data, dst, tag, context)?;
+        let r = self.isend_bytes(capture(data), dst, tag, context)?;
         self.wait(r).map(|_| ())
     }
 
@@ -2479,8 +2492,8 @@ mod tests {
     fn nonblocking_overlap() {
         run2(|e| {
             if e.rank() == 0 {
-                let r1 = e.isend_bytes(&[1], 1, 1, 0).unwrap();
-                let r2 = e.isend_bytes(&[2], 1, 2, 0).unwrap();
+                let r1 = e.isend_bytes(capture(&[1]), 1, 1, 0).unwrap();
+                let r2 = e.isend_bytes(capture(&[2]), 1, 2, 0).unwrap();
                 e.wait(r1).unwrap();
                 e.wait(r2).unwrap();
             } else {
@@ -2521,7 +2534,7 @@ mod tests {
     fn wait_on_consumed_request_errors() {
         run2(|e| {
             if e.rank() == 0 {
-                let r = e.isend_bytes(&[1], 1, 0, 0).unwrap();
+                let r = e.isend_bytes(capture(&[1]), 1, 0, 0).unwrap();
                 e.wait(r).unwrap();
                 assert!(matches!(e.wait(r), Err(MpiError::InvalidRequest)));
             } else {
@@ -2534,7 +2547,7 @@ mod tests {
     fn invalid_rank_rejected() {
         run2(|e| {
             assert!(matches!(
-                e.isend_bytes(&[1], 99, 0, 0),
+                e.isend_bytes(capture(&[1]), 99, 0, 0),
                 Err(MpiError::InvalidRank { .. })
             ));
         });
@@ -2637,7 +2650,7 @@ mod tests {
             if e.rank() == 0 {
                 // Eager send allocates request id 1 and completes without
                 // awaiting a CTS; keep the request live (not waited).
-                let _r = e.isend_bytes(&[1, 2, 3], 1, 0, 0).unwrap();
+                let _r = e.isend_bytes(capture(&[1, 2, 3]), 1, 0, 0).unwrap();
                 let r2 = e.irecv_bytes(8, 1, 1, 0).unwrap();
                 let err = e.wait(r2).unwrap_err();
                 assert!(matches!(err, MpiError::ProtocolError(_)), "{err:?}");

@@ -39,11 +39,13 @@ pub mod rma;
 
 pub use comm::{CommHandle, Group};
 pub use datatype::{BasicType, Datatype};
-pub use engine::{Completion, Envelope, Frame, Request, Status, Wire, ANY_SOURCE, ANY_TAG, TAG_UB};
+pub use engine::{
+    Completion, Envelope, Frame, Request, Status, WinView, Wire, ANY_SOURCE, ANY_TAG, TAG_UB,
+};
 pub use error::{MpiError, MpiResult};
 pub use mpi::{
-    run_mpi, run_mpi_faulty, run_mpi_faulty_on, run_mpi_on, Deposits, Errhandler, Mpi, MpiRequest,
-    RmaGet, Win,
+    run_mpi, run_mpi_faulty, run_mpi_faulty_on, run_mpi_on, Deposit, Deposits, Errhandler, Mpi,
+    MpiRequest, RmaGet, SendBuf, Win,
 };
 /// Owned payload bytes: a frame's data, a rendezvous send parked until
 /// its CTS, a matched receive, a get reply, window memory. Clones share

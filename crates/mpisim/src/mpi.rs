@@ -16,7 +16,7 @@ use crate::coll;
 use crate::coll::sched::{self, IcollKind, Schedule};
 use crate::comm::{CommHandle, CommInfo, Group, COMM_WORLD};
 use crate::datatype::Datatype;
-use crate::engine::{Completion, Engine, Frame, Request, Status};
+use crate::engine::{capture, Completion, Engine, Frame, Request, Status, WinView};
 use crate::error::{MpiError, MpiResult};
 use crate::op::ReduceOp;
 use crate::profile::Profile;
@@ -57,20 +57,84 @@ impl MpiRequest {
     }
 }
 
-/// The destinations of an [`Mpi::waitall`]: lends out the region one
-/// request deposits into, one request at a time, so several receives may
-/// name the same buffer.
+/// The bytes a send or one-sided call transmits.
+pub enum SendBuf<'a> {
+    /// Bytes the caller keeps (a direct buffer): the call captures them.
+    Borrowed(&'a [u8]),
+    /// Storage the caller hands over (a staging store it no longer
+    /// needs): it travels as the frame itself, with no copy.
+    Owned(Payload),
+}
+
+impl SendBuf<'_> {
+    /// The payload that travels: handed-over storage as it is, borrowed
+    /// bytes captured into storage of their own.
+    fn into_payload(self) -> Payload {
+        match self {
+            SendBuf::Borrowed(b) => capture(b),
+            SendBuf::Owned(p) => p,
+        }
+    }
+}
+
+impl std::ops::Deref for SendBuf<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            SendBuf::Borrowed(b) => b,
+            SendBuf::Owned(p) => p,
+        }
+    }
+}
+
+impl<'a> From<&'a [u8]> for SendBuf<'a> {
+    fn from(b: &'a [u8]) -> Self {
+        SendBuf::Borrowed(b)
+    }
+}
+
+impl<'a> From<&'a Vec<u8>> for SendBuf<'a> {
+    fn from(b: &'a Vec<u8>) -> Self {
+        SendBuf::Borrowed(b)
+    }
+}
+
+impl<'a, const N: usize> From<&'a [u8; N]> for SendBuf<'a> {
+    fn from(b: &'a [u8; N]) -> Self {
+        SendBuf::Borrowed(b)
+    }
+}
+
+impl From<Payload> for SendBuf<'_> {
+    fn from(p: Payload) -> Self {
+        SendBuf::Owned(p)
+    }
+}
+
+/// Where a completing request's payload goes.
+pub enum Deposit<'a> {
+    /// Unpacked into this region per the request's datatype.
+    Into(&'a mut [u8]),
+    /// Handed back packed, as it arrived: a point-to-point receive hands
+    /// over the frame's own bytes, so nothing is copied.
+    Take(&'a mut Payload),
+}
+
+/// The destinations of an [`Mpi::waitall`]: lends out where one request
+/// deposits, one request at a time, so several receives may name the
+/// same buffer.
 pub trait Deposits {
-    /// The region request `i` deposits into; `None` for a request that
-    /// carries no data.
-    fn region(&mut self, i: usize) -> Option<&mut [u8]>;
+    /// Where request `i` deposits; `None` for a request that carries no
+    /// data.
+    fn deposit(&mut self, i: usize) -> Option<Deposit<'_>>;
 }
 
 /// One region (or none) per request, by index; missing trailing entries
 /// are `None`.
 impl Deposits for Vec<Option<&mut [u8]>> {
-    fn region(&mut self, i: usize) -> Option<&mut [u8]> {
-        self.get_mut(i)?.as_deref_mut()
+    fn deposit(&mut self, i: usize) -> Option<Deposit<'_>> {
+        self.get_mut(i)?.as_deref_mut().map(Deposit::Into)
     }
 }
 
@@ -405,6 +469,74 @@ impl Mpi {
         Ok(Cow::Owned(payload))
     }
 
+    /// The payload a send transmits: `count` elements of `dt` from `buf`.
+    /// A contiguous layout travels as handed-over storage (cut to the
+    /// span) or as a capture of borrowed bytes; a non-contiguous one is
+    /// packed straight into storage of its own, charging the native pack
+    /// engine.
+    fn send_payload(
+        &mut self,
+        buf: SendBuf<'_>,
+        count: usize,
+        dt: &Datatype,
+    ) -> MpiResult<Payload> {
+        let span = dt.span(count);
+        if buf.len() < span {
+            return Err(MpiError::BufferTooSmall {
+                needed: span,
+                available: buf.len(),
+            });
+        }
+        if !dt.is_contiguous() {
+            wallprof::add(Counter::Allocs, 1);
+            let mut packed = Payload::recycled(dt.size() * count);
+            dt.pack_into(&buf[..span], count, packed.make_mut());
+            self.charge_pack(packed.len());
+            return Ok(packed);
+        }
+        Ok(match buf {
+            SendBuf::Borrowed(b) => capture(&b[..span]),
+            SendBuf::Owned(mut p) => {
+                p.truncate(span);
+                p
+            }
+        })
+    }
+
+    /// Deliver a completed request's packed `data`, at most `count`
+    /// elements of `dt`, to `dest`; `owned` yields the bytes as a payload
+    /// of their own for [`Deposit::Take`]. Returns the byte count.
+    fn land(
+        &mut self,
+        data: &[u8],
+        owned: impl FnOnce() -> Payload,
+        count: usize,
+        dt: &Datatype,
+        dest: Option<Deposit<'_>>,
+    ) -> MpiResult<usize> {
+        let bytes = data.len();
+        match dest {
+            Some(Deposit::Into(out)) => self.unpack_payload(data, count, dt, out, 0)?,
+            Some(Deposit::Take(slot)) => {
+                // The check `unpack` makes; the caller lays the bytes out.
+                if dt.size() > 0 && bytes / dt.size() > count {
+                    return Err(MpiError::Truncated {
+                        incoming: bytes,
+                        capacity: dt.size() * count,
+                    });
+                }
+                *slot = owned();
+            }
+            None => {
+                return Err(MpiError::BufferTooSmall {
+                    needed: bytes,
+                    available: 0,
+                })
+            }
+        }
+        Ok(bytes)
+    }
+
     /// [`Mpi::pack_payload`] into storage of its own, for an accumulator
     /// or a schedule that reads its input after the call returns.
     pub(crate) fn pack_owned(
@@ -460,9 +592,9 @@ impl Mpi {
     }
 
     /// Blocking standard-mode send (MPI_Send).
-    pub fn send(
+    pub fn send<'b>(
         &mut self,
-        buf: &[u8],
+        buf: impl Into<SendBuf<'b>>,
         count: i32,
         dt: &Datatype,
         dst: usize,
@@ -488,10 +620,11 @@ impl Mpi {
         self.wait(r, Some(buf))
     }
 
-    /// Non-blocking send (MPI_Isend).
-    pub fn isend(
+    /// Non-blocking send (MPI_Isend) of bytes the caller keeps or hands
+    /// over ([`SendBuf`]).
+    pub fn isend<'b>(
         &mut self,
-        buf: &[u8],
+        buf: impl Into<SendBuf<'b>>,
         count: i32,
         dt: &Datatype,
         dst: usize,
@@ -506,8 +639,8 @@ impl Mpi {
         self.route(comm, progressed)?;
         let wdst = self.world_dst(comm, dst)?;
         let ctx = self.info(comm)?.pt2pt_context();
-        let payload = self.pack_payload(buf, 0, count, dt)?;
-        let raw = self.eng.isend_bytes(&payload, wdst, tag, ctx);
+        let payload = self.send_payload(buf.into(), count, dt)?;
+        let raw = self.eng.isend_bytes(payload, wdst, tag, ctx);
         let raw = self.route(comm, raw)?;
         Ok(MpiRequest {
             raw: ReqKind::P2p(raw),
@@ -556,7 +689,7 @@ impl Mpi {
         comm: CommHandle,
         recv: &Option<(Datatype, usize)>,
         completion: Completion,
-        buf: Option<&mut [u8]>,
+        dest: Option<Deposit<'_>>,
     ) -> MpiResult<Status> {
         let source = self
             .info(comm)?
@@ -570,12 +703,8 @@ impl Mpi {
         match recv {
             None => Ok(status),
             Some((dt, count)) => {
-                let bytes = completion.data.len();
-                let out = buf.ok_or(MpiError::BufferTooSmall {
-                    needed: bytes,
-                    available: 0,
-                })?;
-                self.unpack_payload(&completion.data, *count, dt, out, 0)?;
+                let data = &completion.data;
+                let bytes = self.land(data, || data.clone(), *count, dt, dest)?;
                 Ok(Status { bytes, ..status })
             }
         }
@@ -586,15 +715,20 @@ impl Mpi {
     /// non-blocking collective requests alike; while waiting, *every*
     /// outstanding collective schedule keeps progressing.
     pub fn wait(&mut self, req: MpiRequest, buf: Option<&mut [u8]>) -> MpiResult<Status> {
+        self.wait_into(req, buf.map(Deposit::Into))
+    }
+
+    /// [`Mpi::wait`] with the payload delivered to `dest`.
+    pub fn wait_into(&mut self, req: MpiRequest, dest: Option<Deposit<'_>>) -> MpiResult<Status> {
         match req.raw {
             ReqKind::P2p(raw) => {
                 let progressed = self.nb_progress();
                 self.route(req.comm, progressed)?;
                 let completion = self.eng.wait(raw);
                 let completion = self.route(req.comm, completion)?;
-                self.finish_p2p(req.comm, &req.recv, completion, buf)
+                self.finish_p2p(req.comm, &req.recv, completion, dest)
             }
-            ReqKind::Coll(id) => self.wait_icoll(id, req.comm, req.recv, buf),
+            ReqKind::Coll(id) => self.wait_icoll(id, req.comm, req.recv, dest),
         }
     }
 
@@ -602,6 +736,15 @@ impl Mpi {
     /// producing request, the payload is unpacked into `buf`. A `Some`
     /// return consumes the underlying operation — drop the request.
     pub fn test(&mut self, req: &MpiRequest, buf: Option<&mut [u8]>) -> MpiResult<Option<Status>> {
+        self.test_into(req, buf.map(Deposit::Into))
+    }
+
+    /// [`Mpi::test`] with the payload delivered to `dest`.
+    pub fn test_into(
+        &mut self,
+        req: &MpiRequest,
+        dest: Option<Deposit<'_>>,
+    ) -> MpiResult<Option<Status>> {
         let progressed = self.nb_progress();
         self.route(req.comm, progressed)?;
         match req.raw {
@@ -610,7 +753,7 @@ impl Mpi {
                 match self.route(req.comm, polled)? {
                     None => Ok(None),
                     Some(completion) => self
-                        .finish_p2p(req.comm, &req.recv, completion, buf)
+                        .finish_p2p(req.comm, &req.recv, completion, dest)
                         .map(Some),
                 }
             }
@@ -624,7 +767,7 @@ impl Mpi {
                 if st.err.is_none() && !st.sched.is_done() {
                     return Ok(None);
                 }
-                self.consume_icoll(idx, req.recv.clone(), buf, None)
+                self.consume_icoll(idx, req.recv.clone(), dest, None)
                     .map(Some)
             }
         }
@@ -692,14 +835,14 @@ impl Mpi {
             std::iter::repeat_with(|| None).take(reqs.len()).collect();
         for (_, i) in order {
             let req = reqs[i].take().expect("each index consumed once");
-            let buf = dests.region(i);
+            let dest = dests.deposit(i);
             let status = match req.raw {
                 ReqKind::P2p(raw) => {
                     let completion = self.eng.try_complete(raw);
                     let completion = self
                         .route(req.comm, completion)?
                         .expect("driven to completion above");
-                    self.finish_p2p(req.comm, &req.recv, completion, buf)?
+                    self.finish_p2p(req.comm, &req.recv, completion, dest)?
                 }
                 ReqKind::Coll(id) => {
                     let idx = self
@@ -707,7 +850,7 @@ impl Mpi {
                         .iter()
                         .position(|s| s.id == id)
                         .ok_or(MpiError::InvalidRequest)?;
-                    self.consume_icoll(idx, req.recv, buf, None)?
+                    self.consume_icoll(idx, req.recv, dest, None)?
                 }
             };
             statuses[i] = Some(status);
@@ -1024,7 +1167,7 @@ impl Mpi {
         id: u64,
         comm: CommHandle,
         recv: Option<(Datatype, usize)>,
-        buf: Option<&mut [u8]>,
+        dest: Option<Deposit<'_>>,
     ) -> MpiResult<Status> {
         let wait_begin = self.eng.now();
         loop {
@@ -1046,7 +1189,7 @@ impl Mpi {
             .iter()
             .position(|s| s.id == id)
             .expect("present: found in wait loop");
-        self.consume_icoll(idx, recv, buf, Some(wait_begin))
+        self.consume_icoll(idx, recv, dest, Some(wait_begin))
     }
 
     /// Consume a finished (or failed) schedule: merge its timeline into
@@ -1056,7 +1199,7 @@ impl Mpi {
         &mut self,
         idx: usize,
         recv: Option<(Datatype, usize)>,
-        buf: Option<&mut [u8]>,
+        dest: Option<Deposit<'_>>,
         wait_begin: Option<VTime>,
     ) -> MpiResult<Status> {
         let st = self.scheds.remove(idx);
@@ -1091,12 +1234,13 @@ impl Mpi {
                 bytes: 0,
             }),
             Some((dt, count)) => {
-                let bytes = data.len();
-                let out = buf.ok_or(MpiError::BufferTooSmall {
-                    needed: bytes,
-                    available: 0,
-                })?;
-                self.unpack_payload(&data, count, &dt, out, 0)?;
+                // A schedule's output lives in its own buffers: handing
+                // it over copies it out.
+                let owned = || {
+                    wallprof::add(Counter::CopyBytes, data.len() as u64);
+                    Payload::copy_from(&data)
+                };
+                let bytes = self.land(&data, owned, count, &dt, dest)?;
                 Ok(Status {
                     source: my_rank,
                     tag: 0,
@@ -1314,10 +1458,10 @@ impl Mpi {
     }
 
     /// Read this rank's exposed window memory (the NIC view deposits land
-    /// in), lent beside the rank's clock so the caller can charge a copy
-    /// straight out of it. Zero virtual cost itself — callers synchronize
-    /// via epochs.
-    pub fn win_mem(&mut self, win: Win) -> MpiResult<(&[u8], &mut Clock)> {
+    /// in) and the ranges deposits wrote since the last
+    /// [`Mpi::win_mark_synced`], lent beside the rank's clock. Zero
+    /// virtual cost itself — callers synchronize via epochs.
+    pub fn win_mem(&mut self, win: Win) -> MpiResult<WinView<'_>> {
         let id = self.win_info(win)?.id;
         self.eng.win_mem(id)
     }
@@ -1375,10 +1519,10 @@ impl Mpi {
     /// at byte `offset`. `target` is a communicator rank; `reg_key`
     /// identifies the origin region for the registration cache (zero-copy
     /// path). Completes at the target when the epoch closes.
-    pub fn win_put(
+    pub fn win_put<'b>(
         &mut self,
         win: Win,
-        data: &[u8],
+        data: impl Into<SendBuf<'b>>,
         reg_key: u64,
         target: usize,
         offset: usize,
@@ -1390,8 +1534,9 @@ impl Mpi {
         };
         self.route(comm, progressed)?;
         let wtarget = self.world_dst(comm, target)?;
+        let data = data.into();
         self.charge_registration(wtarget, data.len(), reg_key);
-        let arrival = self.eng.rma_put(wtarget, id, offset, data);
+        let arrival = self.eng.rma_put(wtarget, id, offset, data.into_payload());
         let arrival = self.route(comm, arrival)?;
         self.win_info_mut(win)?
             .pending_puts
@@ -1403,10 +1548,10 @@ impl Mpi {
     /// combine `data` into `target`'s window with `op`. Operands are
     /// always staged through pre-registered bounce buffers, so no
     /// registration charge applies.
-    pub fn win_accumulate(
+    pub fn win_accumulate<'b>(
         &mut self,
         win: Win,
-        data: &[u8],
+        data: impl Into<SendBuf<'b>>,
         op: ReduceOp,
         target: usize,
         offset: usize,
@@ -1418,6 +1563,7 @@ impl Mpi {
         };
         self.route(comm, progressed)?;
         let wtarget = self.world_dst(comm, target)?;
+        let data = data.into().into_payload();
         let arrival = self.eng.rma_accumulate(wtarget, id, offset, op, data);
         let arrival = self.route(comm, arrival)?;
         self.win_info_mut(win)?

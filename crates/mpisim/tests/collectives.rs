@@ -6,7 +6,7 @@
 
 use mpisim::datatype::{DOUBLE, INT};
 use mpisim::{run_mpi, BasicType, Datatype, Mpi, MpiError, MpiResult, Profile, ReduceOp};
-use simfabric::Topology;
+use simfabric::{EngineMode, Topology};
 
 fn ints(v: &[i32]) -> Vec<u8> {
     v.iter().flat_map(|x| x.to_le_bytes()).collect()
@@ -767,5 +767,58 @@ fn short_receive_buffers_fail_with_the_same_error_after_taking_part() {
                 }
             }
         }
+    }
+}
+
+/// A rank that leaves a blocking collective early with a validation
+/// error, before its first send, leaves its peer waiting on a message
+/// that never comes. The event engine must diagnose that as a deadlock
+/// in bounded wall time, never hang. (With more ranks, a peer that later
+/// sends to the departed rank is stopped with "rank N exited early"
+/// instead; two ranks keep the diagnosis to the stall alone.)
+#[test]
+fn an_early_error_in_a_blocking_collective_ends_in_a_deadlock_diagnosis() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    for coll in ["bcast", "allreduce", "allgather"] {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let job = catch_unwind(AssertUnwindSafe(|| {
+                let topo = Topology::new(1, 2);
+                mpisim::run_mpi_on(EngineMode::EventDriven, topo, Profile::mvapich2(), |mpi| {
+                    let w = mpi.world();
+                    // Rank 1, the bcast root, passes a negative count:
+                    // rejected on entry, before it sends anything.
+                    let count = if mpi.rank(w).unwrap() == 1 { -1 } else { 4 };
+                    let mine = ints(&[1, 2, 3, 4]);
+                    let mut out = vec![0u8; 64];
+                    match coll {
+                        "bcast" => mpi.bcast(&mut out, count, &INT, 1, w),
+                        "allreduce" => {
+                            mpi.allreduce(&mine, &mut out, count, &INT, ReduceOp::Sum, w)
+                        }
+                        _ => mpi.allgather(&mine, &mut out, count, &INT, w),
+                    }
+                })
+            }));
+            let msg = match job {
+                Ok(res) => format!("the job finished: {res:?}"),
+                Err(p) => p
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default(),
+            };
+            let _ = tx.send(msg);
+        });
+        let msg = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{coll}: no diagnosis within 60 s"));
+        assert!(
+            msg.contains("event engine stalled") && msg.contains("(deadlock)"),
+            "{coll}: {msg}"
+        );
     }
 }

@@ -88,7 +88,21 @@ impl Buffer {
         clock: &mut Clock,
         size: usize,
     ) -> Self {
-        let store = pool.acquire(rt, clock, size);
+        Buffer::pooled(pool.acquire(rt, clock, size))
+    }
+
+    /// [`Buffer::from_pool`] over a store that stays parked
+    /// ([`BufferPool::acquire_parked`]): for a receive that never writes it.
+    pub fn from_pool_parked(
+        pool: &mut BufferPool,
+        rt: &mut Runtime,
+        clock: &mut Clock,
+        size: usize,
+    ) -> Self {
+        Buffer::pooled(pool.acquire_parked(rt, clock, size))
+    }
+
+    fn pooled(store: DirectBuffer) -> Self {
         Buffer {
             store,
             pooled: true,

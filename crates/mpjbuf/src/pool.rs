@@ -95,6 +95,33 @@ impl BufferPool {
     /// `mpjbuf.pool.fallback_allocs` pvar) which [`BufferPool::release`]
     /// frees immediately instead of parking.
     pub fn acquire(&mut self, rt: &mut Runtime, clock: &mut Clock, size: usize) -> DirectBuffer {
+        self.take(rt, clock, size, true)
+    }
+
+    /// [`BufferPool::acquire`] of a store that stays parked: it is charged
+    /// and counted the same, but a store of [`mrt::store::FLOOR`] bytes or
+    /// more holds no host bytes. For a receive whose payload is scattered
+    /// straight out of the frame, so nothing is ever written to the store.
+    pub fn acquire_parked(
+        &mut self,
+        rt: &mut Runtime,
+        clock: &mut Clock,
+        size: usize,
+    ) -> DirectBuffer {
+        self.take(rt, clock, size, false)
+    }
+
+    fn take(
+        &mut self,
+        rt: &mut Runtime,
+        clock: &mut Clock,
+        size: usize,
+        backed: bool,
+    ) -> DirectBuffer {
+        let alloc = |rt: &mut Runtime, clock: &mut Clock, cap| match backed {
+            true => rt.allocate_direct(cap, clock),
+            false => rt.allocate_direct_parked(cap, clock),
+        };
         let _wp = obs::wallprof::span(obs::wallprof::Subsystem::Pool);
         obs::wallprof::add(obs::wallprof::Counter::PoolAcquires, 1);
         if size > 1 << MAX_CLASS {
@@ -112,7 +139,7 @@ impl BufferPool {
                 );
             }
             let t0 = clock.now();
-            let buf = rt.allocate_direct(size, clock);
+            let buf = alloc(rt, clock, size);
             if obs::tracing_enabled() {
                 obs::span(
                     "acquire",
@@ -134,13 +161,15 @@ impl BufferPool {
             obs::count(pvar::MPJBUF_POOL_HITS, 1);
             self.stats.pooled_bytes -= buf.capacity();
             clock.charge(VDur::from_nanos(rt.cost().pool.acquire_hit_ns));
-            rt.unpark_direct(buf).expect("pool buffer is live");
+            if backed {
+                rt.unpark_direct(buf).expect("pool buffer is live");
+            }
             buf
         } else {
             self.stats.misses += 1;
             obs::count(pvar::MPJBUF_POOL_MISSES, 1);
             obs::wallprof::add(obs::wallprof::Counter::Allocs, 1);
-            rt.allocate_direct(1usize << class, clock)
+            alloc(rt, clock, 1usize << class)
         };
         if obs::tracing_enabled() {
             obs::span(

@@ -76,10 +76,27 @@ pub(crate) struct DirectRegion {
 
 impl DirectRegion {
     pub fn allocate(&mut self, capacity: usize, order: ByteOrder) -> DirectBuffer {
-        let buf = DirectBuf {
-            data: HostBytes::zeroed(capacity),
-            order,
+        self.allocate_with(HostBytes::zeroed(capacity), capacity, order)
+    }
+
+    /// A buffer allocated parked: from [`FLOOR`] up it holds no bytes
+    /// until [`DirectRegion::unpark`]; a smaller one is zeroed.
+    pub fn allocate_parked(&mut self, capacity: usize, order: ByteOrder) -> DirectBuffer {
+        let data = if capacity >= FLOOR {
+            HostBytes::default()
+        } else {
+            HostBytes::zeroed(capacity)
         };
+        self.allocate_with(data, capacity, order)
+    }
+
+    fn allocate_with(
+        &mut self,
+        data: HostBytes,
+        capacity: usize,
+        order: ByteOrder,
+    ) -> DirectBuffer {
+        let buf = DirectBuf { data, order };
         self.allocated_bytes += capacity;
         self.total_allocations += 1;
         let id = match self.free.pop() {
@@ -113,11 +130,15 @@ impl DirectRegion {
     /// one costs more than it saves). The buffer stays allocated, and
     /// [`DirectRegion::unpark`] gives it storage again.
     pub fn park(&mut self, b: DirectBuffer) -> MrtResult<()> {
+        self.hand_over(b).map(drop)
+    }
+
+    /// Take the host bytes of a buffer of [`FLOOR`] bytes or more out of
+    /// it, leaving it as [`DirectRegion::park`] does; `None` for a smaller
+    /// buffer, which keeps its bytes.
+    pub fn hand_over(&mut self, b: DirectBuffer) -> MrtResult<Option<HostBytes>> {
         let buf = self.get_mut(b)?;
-        if b.capacity >= FLOOR {
-            buf.data = HostBytes::default();
-        }
-        Ok(())
+        Ok((b.capacity >= FLOOR).then(|| std::mem::take(&mut buf.data)))
     }
 
     /// Storage for a buffer [`DirectRegion::park`] emptied, holding

@@ -14,6 +14,7 @@ use crate::buffer::{DirectBuffer, DirectRegion, HeapBuffer};
 use crate::error::{MrtError, MrtResult};
 use crate::heap::{GcStats, Handle, Heap};
 use crate::prim::{ByteOrder, Prim};
+use crate::store::HostBytes;
 
 /// Default initial heap: 16 MiB.
 pub const DEFAULT_HEAP: usize = 16 << 20;
@@ -208,6 +209,22 @@ impl Runtime {
     /// unspecified, as a reused buffer's are.
     pub fn unpark_direct(&mut self, b: DirectBuffer) -> MrtResult<()> {
         self.direct.unpark(b)
+    }
+
+    /// [`Runtime::allocate_direct`] of a buffer that starts parked: it is
+    /// charged and counted the same, but from [`crate::store::FLOOR`] up
+    /// it holds no bytes until [`Runtime::unpark_direct`].
+    pub fn allocate_direct_parked(&mut self, capacity: usize, clock: &mut Clock) -> DirectBuffer {
+        clock.charge(self.cost.direct_alloc(capacity));
+        self.direct.allocate_parked(capacity, ByteOrder::Little)
+    }
+
+    /// Hand an idle direct buffer's storage to the caller: from
+    /// [`crate::store::FLOOR`] up, its bytes leave the buffer, which is
+    /// then parked; `None` below the floor, where it keeps them.
+    /// Host-side only; charges nothing.
+    pub fn hand_over_direct(&mut self, b: DirectBuffer) -> MrtResult<Option<HostBytes>> {
+        self.direct.hand_over(b)
     }
 
     /// Change the buffer's byte order (`buf.order(...)`).

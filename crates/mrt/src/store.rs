@@ -84,6 +84,25 @@ impl HostBytes {
         self.buf.as_ref().map_or(0, |b| b.len())
     }
 
+    /// Shorten the block to its first `len` bytes (no-op if it is no
+    /// longer). Class storage keeps its class and only rewrites its
+    /// length; exact-size or shared storage is copied.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len() {
+            return;
+        }
+        match &mut self.buf {
+            Some(buf) if buf.len() >= FLOOR => {
+                if let Some(storage) = Arc::get_mut(buf) {
+                    storage[..HEADER].copy_from_slice(&len.to_le_bytes());
+                    return;
+                }
+            }
+            _ => {}
+        }
+        *self = HostBytes::copy_from(&self[..len]);
+    }
+
     /// Mutable access to the bytes, copying them first if another handle
     /// shares the storage.
     pub fn make_mut(&mut self) -> &mut [u8] {
@@ -385,6 +404,22 @@ mod tests {
         assert!(p.iter().all(|&b| b == 3));
         drop(p);
         list_stats();
+    }
+
+    #[test]
+    fn truncate_keeps_class_storage_and_copies_the_rest() {
+        let mut large = HostBytes::copy_from(&vec![4u8; FLOOR + 10]);
+        let storage = large.host_len();
+        large.truncate(100);
+        assert_eq!((large.len(), large.host_len()), (100, storage));
+        assert!(large.iter().all(|&b| b == 4));
+        let shared = large.clone();
+        large.truncate(10);
+        assert_eq!((large.len(), large.host_len(), shared.len()), (10, 10, 100));
+        let mut small = HostBytes::copy_from(&[1, 2, 3]);
+        small.truncate(5);
+        small.truncate(2);
+        assert_eq!(&small[..], &[1, 2]);
     }
 
     #[test]

@@ -438,3 +438,45 @@ fn a_put_wins_over_a_local_store_to_the_same_bytes() {
         }
     }
 }
+
+/// A get whose origin is the window's own direct buffer lands between
+/// the fence's publish and its mirror back, so the buffer no longer
+/// equals window memory outside the recorded deposits. Such a program
+/// is erroneous under MPI (the origin buffer overlaps memory exposed in
+/// the same epoch); the fence resolves it by mirroring the whole window
+/// back, so the bytes the get wrote give way to the owner's published
+/// image, while a put deposited in the same epoch survives.
+#[test]
+fn a_get_into_the_window_s_own_buffer_gives_way_to_the_window() {
+    let results = run_job(JobConfig::mvapich2j(Topology::single_node(2)), |env| {
+        let w = env.world();
+        let me = env.rank();
+        let buf = env.new_direct(WIN);
+        for i in 0..WIN {
+            env.direct_put(buf, i, (0x10 * (me as i8 + 1)) ^ i as i8)
+                .unwrap();
+        }
+        let win = env.win_create_buffer(buf, w).unwrap();
+        env.win_fence(win).unwrap();
+        if me == 0 {
+            // Rank 1's first 16 bytes, into this window's own buffer.
+            env.get_buffer(win, buf, 16, &BYTE, 1, 0).unwrap();
+        } else {
+            let origin = env.new_direct(PUT.len());
+            for (i, &v) in PUT.iter().enumerate() {
+                env.direct_put(origin, i, v as i8).unwrap();
+            }
+            env.put_buffer(win, origin, PUT.len() as i32, &BYTE, 0, 40)
+                .unwrap();
+        }
+        env.win_fence(win).unwrap();
+        let out: Vec<u8> = (0..WIN)
+            .map(|i| env.direct_get::<i8>(buf, i).unwrap() as u8)
+            .collect();
+        env.win_free(win).unwrap();
+        out
+    });
+    let mut want: Vec<u8> = (0..WIN).map(|i| 0x10 ^ i as u8).collect();
+    want[40..40 + PUT.len()].copy_from_slice(&PUT);
+    assert_eq!(results[0], want);
+}

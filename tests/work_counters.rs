@@ -182,7 +182,7 @@ fn rows() -> Vec<Row> {
             spec(Benchmark::GetBandwidth, pt2pt, 1 << 10),
             &PAYLOAD,
             &[
-                16_946, 16_946, 8_498, 8_498, 0, 0, 420_480, 2_656_648, 3_189_264,
+                16_946, 16_946, 8_498, 8_498, 0, 0, 420_480, 2_656_648, 3_166_736,
             ],
         ),
         row(
@@ -198,15 +198,7 @@ fn rows() -> Vec<Row> {
                 arrays_bw,
                 &PAYLOAD,
                 &[
-                    22,
-                    22,
-                    24,
-                    14,
-                    12,
-                    16_777_216,
-                    33_555_600,
-                    33_555_844,
-                    134_217_744,
+                    22, 22, 20, 14, 12, 16_777_216, 33_555_600, 33_555_844, 67_108_876,
                 ],
             )
         },
@@ -217,16 +209,24 @@ fn rows() -> Vec<Row> {
 fn basket_jobs_keep_their_exact_work_counters() {
     for r in rows() {
         let work = assert_pinned(r.job, r.spec, r.prelude, r.pins, r.want);
-        if r.spec.api == Api::Buffer
-            && matches!(r.spec.benchmark, Benchmark::Latency | Benchmark::Bandwidth)
-        {
-            // A direct-buffer message is copied twice: into the frame at
-            // the sender, out of it into the receive buffer.
-            let payload = work.get(Work::Pvar("pt2pt.eager_bytes"))
-                + work.get(Work::Pvar("pt2pt.rndv_bytes"));
+        if matches!(r.spec.benchmark, Benchmark::Latency | Benchmark::Bandwidth) {
+            // A message is copied twice. A direct-buffer one is captured
+            // into the frame and deposited into the receive buffer. An
+            // array one from the 64 KiB floor up (every rendezvous message
+            // of the array rows) is gathered into a store that travels as
+            // the frame and scattered straight out of it; below the floor
+            // (every eager one) the frame captures the store, a third copy.
+            let (eager, rndv) = (
+                work.get(Work::Pvar("pt2pt.eager_bytes")),
+                work.get(Work::Pvar("pt2pt.rndv_bytes")),
+            );
+            let bound = match r.spec.api {
+                Api::Buffer => 2 * (eager + rndv),
+                Api::Arrays => 2 * rndv + 3 * eager,
+            };
             assert!(
-                work.get(Work::Wp(Counter::CopyBytes)) <= 2 * payload,
-                "{}: more than two copies per payload byte",
+                work.get(Work::Wp(Counter::CopyBytes)) <= bound,
+                "{}: more copies per payload byte than the path makes",
                 r.job
             );
         }
